@@ -389,23 +389,36 @@ inline double SkillFromKey(uint64_t key) {
   return std::bit_cast<double>(bits);
 }
 
+// A 12-byte sort record. The 64-bit DescendingKey is stored as two 32-bit
+// halves so the struct has 4-byte alignment and no padding: every scatter
+// pass moves 25% fewer bytes than a {uint64_t, uint32_t} pair would. `hi`
+// holds the sign, the exponent and the 20 leading mantissa bits.
 struct KeyId {
-  uint64_t key;
+  uint32_t hi;
+  uint32_t lo;
   uint32_t id;
+
+  uint64_t key() const { return (uint64_t{hi} << 32) | lo; }
 };
+static_assert(sizeof(KeyId) == 12);
+
+inline KeyId MakeKeyId(double skill, uint32_t id) {
+  const uint64_t key = DescendingKey(skill);
+  return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key), id};
+}
 
 // (key asc, id asc) is the same strict total order as the reference
 // comparator (skill desc, stable ties), so any correct sort of it yields
 // the identical permutation.
 struct KeyIdLess {
   bool operator()(const KeyId& x, const KeyId& y) const {
-    if (x.key != y.key) return x.key < y.key;
+    if (x.key() != y.key()) return x.key() < y.key();
     return x.id < y.id;
   }
 };
 
-// Below this, one comparison sort of (key, id) pairs beats the fixed radix
-// overhead (8KB of histograms).
+// Below this, one comparison sort beats the fixed radix overhead (8KB of
+// histograms).
 constexpr size_t kRadixMinN = 2048;
 
 // From here up, a single MSD bucket pass (256KB table from the arena) beats
@@ -413,71 +426,82 @@ constexpr size_t kRadixMinN = 2048;
 // 256-stream passes, and the buckets it leaves are cache-resident.
 constexpr size_t kRadixWideMinN = 48 * 1024;
 
-// Stable LSD radix sort with `Bits`-bit digits. Constant-digit passes are
-// skipped; for typical skill data the high exponent digits collapse.
-// `counts` must hold kPasses * kBuckets entries (caller-provided so the wide
-// variant's tables come from the arena, not the stack); it is clobbered.
-// Returns the buffer holding the sorted sequence (a or b).
-template <int Bits>
-KeyId* RadixSortKeyIds(std::span<KeyId> a, std::span<KeyId> b,
-                       std::span<uint32_t> counts) {
-  constexpr int kPasses = (64 + Bits - 1) / Bits;
-  constexpr size_t kBuckets = size_t{1} << Bits;
-  constexpr uint64_t kMask = kBuckets - 1;
-  const size_t n = a.size();
-  TDG_CHECK_EQ(counts.size(), kPasses * kBuckets);
-  std::memset(counts.data(), 0, counts.size() * sizeof(uint32_t));
+// Runs of equal top-32 key bits at least this long are finished by a radix
+// sort of the low 32 bits instead of std::sort. Converged DyGroups-Star
+// rounds at small k leave runs of thousands of records (DESIGN.md §11).
+constexpr size_t kRadixRunMinN = 256;
+
+// Stable LSD radix sort of `n` records by the low `KeyBits` bits of their
+// key, 8 bits per pass. Constant-digit passes are skipped; for typical skill
+// data the high exponent digits collapse. Returns the buffer holding the
+// sorted sequence (src or dst).
+template <int KeyBits>
+KeyId* LsdSortKeyIds(KeyId* src, KeyId* dst, size_t n) {
+  constexpr int kPasses = KeyBits / 8;
+  uint32_t counts[kPasses][256] = {};
   for (size_t i = 0; i < n; ++i) {
-    uint64_t key = a[i].key;
+    const uint64_t key = src[i].key();
     for (int pass = 0; pass < kPasses; ++pass) {
-      ++counts[pass * kBuckets + ((key >> (Bits * pass)) & kMask)];
+      ++counts[pass][(key >> (8 * pass)) & 0xFF];
     }
   }
-  KeyId* src = a.data();
-  KeyId* dst = b.data();
   for (int pass = 0; pass < kPasses; ++pass) {
-    uint32_t* offsets = &counts[pass * kBuckets];  // prefix-summed in place
-    const int shift = Bits * pass;
-    if (offsets[(src[0].key >> shift) & kMask] == n) continue;  // constant
+    uint32_t* offsets = counts[pass];  // prefix-summed in place
+    const int shift = 8 * pass;
+    if (offsets[(src[0].key() >> shift) & 0xFF] == n) continue;  // constant
     uint32_t running = 0;
-    for (size_t bucket = 0; bucket < kBuckets; ++bucket) {
+    for (size_t bucket = 0; bucket < 256; ++bucket) {
       uint32_t count = offsets[bucket];
       offsets[bucket] = running;
       running += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> shift) & kMask]++] = src[i];
+      dst[offsets[(src[i].key() >> shift) & 0xFF]++] = src[i];
     }
     std::swap(src, dst);
   }
   return src;
 }
 
-// Large-n sort: two stable 16-bit LSD passes order the pairs by the top 32
-// key bits (sign, exponent, and the 20 leading mantissa bits — enough that
-// collisions are birthday-rare for continuous skill data), then a linear
-// repair scan finishes each run of equal top-32 prefixes with a comparison
-// sort of the full (key, id) order. Exact for any input — heavy ties only
-// degrade the repair toward one comparison sort of already-id-ordered runs
-// — at half the scatter traffic of a full-key radix. `counts` must hold
-// 2 * 2^16 entries from the arena; it is clobbered. Returns the buffer
-// holding the sorted sequence (a or b).
+// Sorts every run of equal keys in `records` (already in key order) by id.
+// Needed when the input was not in id order, so a stable radix left ties in
+// input order.
+void SortTiesById(std::span<KeyId> records) {
+  size_t run_start = 0;
+  for (size_t i = 1; i <= records.size(); ++i) {
+    if (i == records.size() ||
+        records[i].key() != records[run_start].key()) {
+      if (i - run_start > 1) {
+        std::sort(records.begin() + run_start, records.begin() + i,
+                  [](const KeyId& x, const KeyId& y) { return x.id < y.id; });
+      }
+      run_start = i;
+    }
+  }
+}
+
+// Large-n sort: two stable 16-bit LSD passes order the records by `hi`
+// (enough that collisions are birthday-rare for continuous skill data), then
+// a repair scan finishes each run of equal `hi`: short runs with a
+// comparison sort of the full (key, id) order, long runs with a stable LSD
+// over `lo` (plus an id sort of the remaining ties when the input was not in
+// id order). `counts` must hold 2 * 2^16 entries from the arena; it is
+// clobbered. Returns the buffer holding the sorted sequence (a or b).
 KeyId* WideSortKeyIds(std::span<KeyId> a, std::span<KeyId> b,
-                      std::span<uint32_t> counts) {
+                      std::span<uint32_t> counts, bool ids_ascending) {
   const size_t n = a.size();
   TDG_CHECK_EQ(counts.size(), size_t{2} << 16);
   std::memset(counts.data(), 0, counts.size() * sizeof(uint32_t));
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t hi = a[i].key >> 32;
-    ++counts[hi & 0xFFFF];
-    ++counts[65536 + (hi >> 16)];
+    ++counts[a[i].hi & 0xFFFF];
+    ++counts[65536 + (a[i].hi >> 16)];
   }
   KeyId* src = a.data();
   KeyId* dst = b.data();
   for (int pass = 0; pass < 2; ++pass) {
     uint32_t* offsets = &counts[pass * 65536];  // prefix-summed in place
-    const int shift = 32 + 16 * pass;
-    if (offsets[(src[0].key >> shift) & 0xFFFF] == n) continue;  // constant
+    const int shift = 16 * pass;
+    if (offsets[(src[0].hi >> shift) & 0xFFFF] == n) continue;  // constant
     uint32_t running = 0;
     for (size_t bucket = 0; bucket < 65536; ++bucket) {
       uint32_t count = offsets[bucket];
@@ -485,63 +509,94 @@ KeyId* WideSortKeyIds(std::span<KeyId> a, std::span<KeyId> b,
       running += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> shift) & 0xFFFF]++] = src[i];
+      dst[offsets[(src[i].hi >> shift) & 0xFFFF]++] = src[i];
     }
     std::swap(src, dst);
   }
-  // The passes were stable, so inside a run of equal top-32 prefixes the
-  // pairs still sit in ascending-id input order; sorting the run by the
-  // full (key, id) order makes the whole sequence exact.
+  // The passes were stable, so inside a run of equal `hi` the records still
+  // sit in input order; `dst` is free scratch from here on.
   size_t run_start = 0;
   for (size_t i = 1; i <= n; ++i) {
-    if (i == n || (src[i].key >> 32) != (src[run_start].key >> 32)) {
-      if (i - run_start > 1) {
-        std::sort(src + run_start, src + i, KeyIdLess{});
-      }
-      run_start = i;
+    if (i < n && src[i].hi == src[run_start].hi) continue;
+    const size_t len = i - run_start;
+    if (len >= kRadixRunMinN) {
+      KeyId* run = src + run_start;
+      KeyId* sorted = LsdSortKeyIds<32>(run, dst + run_start, len);
+      if (sorted != run) std::memcpy(run, sorted, len * sizeof(KeyId));
+      if (!ids_ascending) SortTiesById({run, len});
+    } else if (len > 1) {
+      std::sort(src + run_start, src + i, KeyIdLess{});
     }
+    run_start = i;
   }
   return src;
 }
 
-// Shared engine: sorts (DescendingKey(skill), id) pairs into ascending
+// The sorted records and the other ping-pong buffer, which the caller may
+// reuse as scratch (see SpareAsDoubles).
+struct SortedKeyIds {
+  std::span<KeyId> sorted;
+  std::span<KeyId> spare;
+};
+
+// Radix engine for n >= kRadixMinN: sorts the records in `a` into ascending
+// (key, id) order using `b` as the second buffer. `ids_ascending` says the
+// records arrive in ascending id order, so stable passes already keep ties
+// in id order.
+SortedKeyIds RadixSortKeyIds(std::span<KeyId> a, std::span<KeyId> b,
+                             bool ids_ascending, Arena& arena) {
+  KeyId* sorted;
+  if (a.size() >= kRadixWideMinN) {
+    std::span<uint32_t> counts = arena.Alloc<uint32_t>(size_t{2} << 16);
+    sorted = WideSortKeyIds(a, b, counts, ids_ascending);
+  } else {
+    sorted = LsdSortKeyIds<64>(a.data(), b.data(), a.size());
+    if (!ids_ascending) SortTiesById({sorted, a.size()});
+  }
+  return sorted == a.data() ? SortedKeyIds{a, b} : SortedKeyIds{b, a};
+}
+
+// A free record buffer viewed as doubles: a 12-byte record has room for
+// one 8-byte value, and arena buffers are 64-byte aligned.
+std::span<double> SpareAsDoubles(std::span<KeyId> spare) {
+  static_assert(sizeof(double) <= sizeof(KeyId));
+  return {static_cast<double*>(static_cast<void*>(spare.data())),
+          spare.size()};
+}
+
+// The reference algorithm verbatim for n < kRadixMinN: a stable sort of
+// bare ids moves 4-byte elements instead of 12-byte records, which wins at
+// sizes where the skill reads stay in L1.
+void StableSortIds(std::span<const double> skills, std::span<int> ids) {
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+  std::stable_sort(ids.begin(), ids.end(), [&skills](int x, int y) {
+    return skills[x] > skills[y];
+  });
+}
+
+// Shared engine: sorts (DescendingKey(skill), id) records into ascending
 // (key, id) order — exactly the reference stable_sort permutation, with the
 // skill value recoverable from the key (see SkillFromKey). Allocates from
 // `arena`; the caller owns the enclosing ArenaScope.
-std::span<KeyId> SortKeyIds(std::span<const double> skills, Arena& arena) {
+SortedKeyIds SortKeyIds(std::span<const double> skills, Arena& arena) {
   TDG_PERF_SCOPE("core/skills/sort");
   const size_t n = skills.size();
   std::span<KeyId> a = arena.Alloc<KeyId>(n);
+  std::span<KeyId> b = arena.Alloc<KeyId>(n);
   if (n < kRadixMinN) {
-    // The reference algorithm verbatim — a stable sort of bare ids moves
-    // 4-byte elements instead of 16-byte pairs, which wins at sizes where
-    // the skill reads stay in L1. Keys are materialized afterwards for
-    // callers that reconstruct skill values from them.
-    std::span<uint32_t> ids = arena.Alloc<uint32_t>(n);
-    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(i);
-    std::stable_sort(ids.begin(), ids.end(), [&skills](uint32_t x, uint32_t y) {
-      return skills[x] > skills[y];
-    });
+    // Keys are materialized after the id sort for callers that reconstruct
+    // skill values from them.
+    std::span<int> ids = arena.Alloc<int>(n);
+    StableSortIds(skills, ids);
     for (size_t i = 0; i < n; ++i) {
-      a[i].key = DescendingKey(skills[ids[i]]);
-      a[i].id = ids[i];
+      a[i] = MakeKeyId(skills[ids[i]], static_cast<uint32_t>(ids[i]));
     }
-    return a;
+    return {a, b};
   }
   for (size_t i = 0; i < n; ++i) {
-    a[i].key = DescendingKey(skills[i]);
-    a[i].id = static_cast<uint32_t>(i);
+    a[i] = MakeKeyId(skills[i], static_cast<uint32_t>(i));
   }
-  std::span<KeyId> b = arena.Alloc<KeyId>(n);
-  KeyId* sorted;
-  if (n >= kRadixWideMinN) {
-    std::span<uint32_t> counts = arena.Alloc<uint32_t>(size_t{2} << 16);
-    sorted = WideSortKeyIds(a, b, counts);
-  } else {
-    uint32_t counts[8 * 256];
-    sorted = RadixSortKeyIds<8>(a, b, counts);
-  }
-  return sorted == a.data() ? a : b;
+  return RadixSortKeyIds(a, b, /*ids_ascending=*/true, arena);
 }
 
 }  // namespace
@@ -555,14 +610,11 @@ void SortIdsByskillDescending(std::span<const double> skills,
     // No caller needs sort keys here, so skip materializing them and run
     // the reference kernel verbatim.
     TDG_PERF_SCOPE("core/skills/sort");
-    for (size_t i = 0; i < n; ++i) ids_out[i] = static_cast<int>(i);
-    std::stable_sort(ids_out.begin(), ids_out.end(), [&skills](int x, int y) {
-      return skills[x] > skills[y];
-    });
+    StableSortIds(skills, ids_out);
     return;
   }
   ArenaScope scope(arena);
-  std::span<KeyId> sorted = SortKeyIds(skills, arena);
+  std::span<KeyId> sorted = SortKeyIds(skills, arena).sorted;
   for (size_t i = 0; i < n; ++i) ids_out[i] = static_cast<int>(sorted[i].id);
 }
 
@@ -655,36 +707,52 @@ double GroupRoundMembers(InteractionMode mode,
   const size_t t = members.size();
   if (t <= 1) return 0.0;
   ArenaScope scope(arena);
-  std::span<double> sorted = arena.Alloc<double>(t);
   std::span<double> gains = arena.Alloc<double>(t);
-  std::span<const int> ids = members;
+  // Evaluates the group from its rank-order skills and scatters each gain
+  // to the member at that rank, `id_at(rank)`.
+  auto finish = [&](std::span<const double> sorted, auto id_at) {
+    const double group_gain =
+        GroupGainSorted(mode, gain, allow_fast_path, sorted, gains);
+    if (update_skills != nullptr) {
+      for (size_t i = 1; i < t; ++i) update_skills[id_at(i)] += gains[i];
+    }
+    return group_gain;
+  };
   if (MembersAlreadySorted(members, skills)) {
+    std::span<double> sorted = arena.Alloc<double>(t);
     Gather(skills, members, sorted);
-  } else {
-    std::span<SkillId> pairs = arena.Alloc<SkillId>(t);
-    for (size_t i = 0; i < t; ++i) {
-      pairs[i].skill = skills[members[i]];
-      pairs[i].id = members[i];
-    }
-    // Same strict total order as the reference SortedGroup comparator.
-    std::sort(pairs.begin(), pairs.end(),
-              [](const SkillId& a, const SkillId& b) {
-                if (a.skill != b.skill) return a.skill > b.skill;
-                return a.id < b.id;
-              });
-    std::span<int> sorted_ids = arena.Alloc<int>(t);
-    for (size_t i = 0; i < t; ++i) {
-      sorted[i] = pairs[i].skill;
-      sorted_ids[i] = pairs[i].id;
-    }
-    ids = sorted_ids;
+    return finish(sorted, [&](size_t i) { return members[i]; });
   }
-  double group_gain =
-      GroupGainSorted(mode, gain, allow_fast_path, sorted, gains);
-  if (update_skills != nullptr) {
-    for (size_t i = 1; i < t; ++i) update_skills[ids[i]] += gains[i];
+  if (t >= kRadixMinN) {
+    // Large unordered groups (e.g. Random-Assignment at small k) take the
+    // radix engine. Members arrive in arbitrary order, so ties are put back
+    // in ascending-id order after the stable passes. Rank-order skills are
+    // read from `skills` itself and land in the spare record buffer.
+    std::span<KeyId> a = arena.Alloc<KeyId>(t);
+    std::span<KeyId> b = arena.Alloc<KeyId>(t);
+    for (size_t i = 0; i < t; ++i) {
+      a[i] = MakeKeyId(skills[members[i]], static_cast<uint32_t>(members[i]));
+    }
+    SortedKeyIds records =
+        RadixSortKeyIds(a, b, /*ids_ascending=*/false, arena);
+    std::span<double> sorted = SpareAsDoubles(records.spare);
+    for (size_t i = 0; i < t; ++i) sorted[i] = skills[records.sorted[i].id];
+    return finish(sorted, [&](size_t i) { return records.sorted[i].id; });
   }
-  return group_gain;
+  std::span<SkillId> pairs = arena.Alloc<SkillId>(t);
+  for (size_t i = 0; i < t; ++i) {
+    pairs[i].skill = skills[members[i]];
+    pairs[i].id = members[i];
+  }
+  // Same strict total order as the reference SortedGroup comparator.
+  std::sort(pairs.begin(), pairs.end(),
+            [](const SkillId& a, const SkillId& b) {
+              if (a.skill != b.skill) return a.skill > b.skill;
+              return a.id < b.id;
+            });
+  std::span<double> sorted = arena.Alloc<double>(t);
+  for (size_t i = 0; i < t; ++i) sorted[i] = pairs[i].skill;
+  return finish(sorted, [&](size_t i) { return pairs[i].id; });
 }
 
 // ---------------------------------------------------------------------------
@@ -716,11 +784,13 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
   TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
                                                 : "interaction/clique_round");
   ArenaScope scope(arena);
-  std::span<KeyId> pairs = SortKeyIds(skills, arena);
+  SortedKeyIds records = SortKeyIds(skills, arena);
+  std::span<const KeyId> pairs = records.sorted;
   // Rank-order skill values come from inverting the sort keys — a
-  // sequential sweep instead of an n-wide random gather through `skills`.
-  std::span<double> sorted = arena.Alloc<double>(n);
-  for (int i = 0; i < n; ++i) sorted[i] = SkillFromKey(pairs[i].key);
+  // sequential sweep instead of an n-wide random gather through `skills` —
+  // and are written into the sort's spare buffer.
+  std::span<double> sorted = SpareAsDoubles(records.spare);
+  for (int i = 0; i < n; ++i) sorted[i] = SkillFromKey(pairs[i].key());
 
   if (introspect != nullptr) {
     // Invert the implicit layout into id -> group. Rank p maps to group

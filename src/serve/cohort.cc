@@ -1,6 +1,8 @@
 #include "serve/cohort.h"
 
 #include <cmath>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "core/process.h"
@@ -31,6 +33,31 @@ util::StatusOr<CohortPolicy> ParseCohortPolicy(std::string_view name) {
       static_cast<int>(name.size()), name.data()));
 }
 
+namespace {
+
+// Seeds travel through JSON numbers (doubles): 2^53 is the first integer
+// past which they no longer round-trip exactly.
+constexpr uint64_t kMaxSeedExclusive = uint64_t{1} << 53;
+
+// The checks of a Join that do not depend on the residents.
+util::Status CheckJoinInput(const std::string& key, double skill) {
+  TDG_RETURN_IF_ERROR(ValidateParticipantKey(key));
+  if (!(skill > 0.0) || !std::isfinite(skill)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "skill must be a finite positive number, got %g", skill));
+  }
+  return util::Status::OK();
+}
+
+util::Status AlreadyResident(const std::string& key,
+                             const std::string& cohort_id) {
+  return util::Status::FailedPrecondition(util::StrFormat(
+      "participant '%s' is already resident in cohort '%s'", key.c_str(),
+      cohort_id.c_str()));
+}
+
+}  // namespace
+
 util::Status CohortConfig::Validate() const {
   if (group_size < 1) {
     return util::Status::InvalidArgument(util::StrFormat(
@@ -39,6 +66,11 @@ util::Status CohortConfig::Validate() const {
   if (!(learning_rate > 0.0) || !(learning_rate < 1.0)) {
     return util::Status::InvalidArgument(util::StrFormat(
         "learning_rate must be in (0, 1), got %g", learning_rate));
+  }
+  if (seed >= kMaxSeedExclusive) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "seed must be below 2^53, got %llu",
+        static_cast<unsigned long long>(seed)));
   }
   return util::Status::OK();
 }
@@ -91,7 +123,15 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
     if (!field->is_number()) {
       return util::Status::InvalidArgument("seed must be a number");
     }
-    config.seed = static_cast<uint64_t>(field->AsNumber());
+    // JSON numbers are doubles here, so only integers below 2^53 arrive
+    // exactly; anything else would silently select another RNG stream.
+    const double seed = field->AsNumber();
+    if (!(seed >= 0.0 && seed < static_cast<double>(kMaxSeedExclusive)) ||
+        std::trunc(seed) != seed) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "seed must be an integer in [0, 2^53), got %.17g", seed));
+    }
+    config.seed = static_cast<uint64_t>(seed);
   }
   TDG_RETURN_IF_ERROR(config.Validate());
   return config;
@@ -159,8 +199,19 @@ util::StatusOr<Cohort> Cohort::Create(
                        LinearGain::Create(config.learning_rate));
   Cohort cohort(id, config, gain);
   cohort.participants_.reserve(participants.size());
+  // The same checks, in the same order, as one Join per participant; but
+  // duplicates are found through a set over the input, as Join's scan of
+  // the residents would make a large enroll O(n^2). The set lives only
+  // for this call, so resident cohorts pay no memory for it.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(participants.size());
   for (const CohortParticipant& participant : participants) {
-    TDG_RETURN_IF_ERROR(cohort.Join(participant.key, participant.skill));
+    TDG_RETURN_IF_ERROR(
+        CheckJoinInput(participant.key, participant.skill));
+    if (!seen.insert(participant.key).second) {
+      return AlreadyResident(participant.key, id);
+    }
+    cohort.participants_.push_back(participant);
   }
   return cohort;
 }
@@ -173,16 +224,8 @@ bool Cohort::HasParticipant(const std::string& key) const {
 }
 
 util::Status Cohort::CanJoin(const std::string& key, double skill) const {
-  TDG_RETURN_IF_ERROR(ValidateParticipantKey(key));
-  if (!(skill > 0.0) || !std::isfinite(skill)) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "skill must be a finite positive number, got %g", skill));
-  }
-  if (HasParticipant(key)) {
-    return util::Status::FailedPrecondition(util::StrFormat(
-        "participant '%s' is already resident in cohort '%s'", key.c_str(),
-        id_.c_str()));
-  }
+  TDG_RETURN_IF_ERROR(CheckJoinInput(key, skill));
+  if (HasParticipant(key)) return AlreadyResident(key, id_);
   return util::Status::OK();
 }
 

@@ -51,7 +51,8 @@ struct CohortConfig {
   CohortPolicy policy = CohortPolicy::kStar;
   InteractionMode mode = InteractionMode::kStar;
   double learning_rate = 0.25;  // r of the linear gain family, in (0, 1)
-  uint64_t seed = 1;            // per-cohort RNG stream (kRandom only)
+  uint64_t seed = 1;            // per-cohort RNG stream (kRandom only),
+                                // < 2^53 so it round-trips through JSON
 
   util::Status Validate() const;
   util::JsonValue ToJson() const;

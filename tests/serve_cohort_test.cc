@@ -112,6 +112,70 @@ TEST(ServeCohortTest, ValidationGrammar) {
             util::StatusCode::kFailedPrecondition);
 }
 
+// An enroll finds duplicate keys through a set over its input instead of
+// one scan of the residents per participant. A 10^4-participant enroll must
+// still accept distinct keys in order, and report the first bad participant
+// with the same error as a Join of each one in turn.
+TEST(ServeCohortTest, LargeEnrollKeepsAcceptanceAndErrors) {
+  std::vector<CohortParticipant> participants = MakeParticipants(10000);
+  auto cohort = Cohort::Create("big", StarConfig(4), participants);
+  ASSERT_TRUE(cohort.ok()) << cohort.status();
+  EXPECT_EQ(cohort->participants(), participants);
+
+  std::vector<CohortParticipant> duplicate = participants;
+  duplicate[7000].key = "p5000";
+  duplicate[9000].skill = -1.0;
+  auto refused = Cohort::Create("big", StarConfig(4), duplicate);
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(refused.status().message(),
+            "participant 'p5000' is already resident in cohort 'big'");
+
+  duplicate[3000].skill = 0.0;  // an earlier bad skill is reported first
+  refused = Cohort::Create("big", StarConfig(4), duplicate);
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.status().message(),
+            "skill must be a finite positive number, got 0");
+
+  // The created cohort still rejects a resident key and accepts it again
+  // after it leaves.
+  EXPECT_EQ(cohort->Join("p5000", 3.0).code(),
+            util::StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(cohort->Leave("p5000").ok());
+  ASSERT_TRUE(cohort->Join("p5000", 3.0).ok());
+  EXPECT_EQ(cohort->participants().back().key, "p5000");
+  EXPECT_EQ(cohort->num_participants(), 10000);
+}
+
+// Seeds arrive as JSON numbers (doubles). One that is not an integer below
+// 2^53 cannot be carried exactly and must be refused, not rounded onto
+// another RNG stream.
+TEST(ServeCohortTest, ConfigSeedMustBeAnExactInteger) {
+  auto parse = [](const std::string& text) {
+    auto json = util::JsonValue::Parse(text);
+    EXPECT_TRUE(json.ok()) << json.status();
+    return CohortConfig::FromJson(*json);
+  };
+  for (const char* bad : {R"({"seed": 9007199254740992})",
+                          R"({"seed": 18446744073709551615})",
+                          R"({"seed": -1})", R"({"seed": 2.5})"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse(bad).status().code(), util::StatusCode::kInvalidArgument);
+  }
+  auto largest = parse(R"({"seed": 9007199254740991})");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->seed, (uint64_t{1} << 53) - 1);
+  auto again = CohortConfig::FromJson(largest->ToJson());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->seed, largest->seed);
+  auto zero = parse(R"({"seed": 0})");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->seed, 0u);
+
+  CohortConfig config = StarConfig(4);
+  config.seed = uint64_t{1} << 53;
+  EXPECT_EQ(config.Validate().code(), util::StatusCode::kInvalidArgument);
+}
+
 // The load-bearing equivalence: a churn-free cohort whose size divides
 // evenly reproduces the batch RunProcess run bitwise, for both DyGroups
 // policies. (The sized-grouping constructions reduce exactly to the

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -319,6 +320,116 @@ TEST_P(SoaDifferentialTest, RandomizedWideSortInstances) {
         ASSERT_TRUE(fused_gain.ok() && ref_gain.ok());
         EXPECT_BITEQ(fused_gain.value(), ref_gain.value());
         ExpectBitwiseEqual(fused, ref, "skills after wide fused round");
+      }
+    }
+  }
+}
+
+// Random partitions whose groups are large enough for the radix engine in
+// GroupRoundMembers: the 8-bit LSD tier (2048 <= t < 48K) and the wide tier
+// (t >= 48K). Members arrive shuffled and skills are tie-heavy, so the
+// result depends on the ascending-id tie-break; clique mode makes that
+// visible in the updated skills (tied members at different ranks learn
+// different amounts).
+TEST_P(SoaDifferentialTest, RadixGroupRoundsMatchReference) {
+  struct Shape {
+    int n;
+    int num_groups;
+  };
+  for (Shape shape : {Shape{6144, 3}, Shape{40000, 4}, Shape{98304, 2}}) {
+    for (Dist dist : {Dist::kTies, Dist::kZipf}) {
+      SCOPED_TRACE("n=" + std::to_string(shape.n) + " k=" +
+                   std::to_string(shape.num_groups) + " dist=" +
+                   std::to_string(static_cast<int>(dist)));
+      random::Rng rng(static_cast<uint64_t>(shape.n) * 10 +
+                      static_cast<uint64_t>(dist));
+      const SkillVector skills = GenSkills(rng, shape.n, dist);
+      const Grouping grouping =
+          RandomGrouping(rng, shape.n, shape.num_groups);
+      LinearGain gain(0.35);
+      for (auto mode : {InteractionMode::kStar, InteractionMode::kClique}) {
+        SkillVector updated = skills;
+        SkillVector updated_ref = skills;
+        auto round = ApplyRound(mode, grouping, gain, updated);
+        auto round_ref =
+            reference::ApplyRound(mode, grouping, gain, updated_ref);
+        ASSERT_TRUE(round.ok() && round_ref.ok());
+        EXPECT_BITEQ(round.value(), round_ref.value());
+        ExpectBitwiseEqual(updated, updated_ref, "skills after ApplyRound");
+
+        auto g = EvaluateGroupGain(mode, grouping.groups[0], gain, skills);
+        auto g_ref = reference::EvaluateGroupGain(mode, grouping.groups[0],
+                                                  gain, skills);
+        ASSERT_TRUE(g.ok() && g_ref.ok());
+        EXPECT_BITEQ(g.value(), g_ref.value());
+      }
+    }
+  }
+}
+
+// Skills that all share their top 32 key bits: one value perturbed only in
+// its low mantissa bits, each perturbation drawn ~100 times. The wide sort
+// sees a single run of n records, which it must finish by the low bits and
+// the id tie-break.
+SkillVector NearTieSkills(random::Rng& rng, int n) {
+  const uint64_t base = std::bit_cast<uint64_t>(1.5);
+  SkillVector skills(n);
+  for (double& v : skills) v = std::bit_cast<double>(base + rng() % 512);
+  return skills;
+}
+
+// Gives `count` participants spread over the population distinct skills
+// above everyone else's (still inside the near-tie run), so every star
+// teacher differs and a tied learner's gain depends on its group.
+void AddDistinctTeachers(SkillVector& skills, int count) {
+  const double top = *std::max_element(skills.begin(), skills.end());
+  const uint64_t bits = std::bit_cast<uint64_t>(top);
+  const size_t stride = skills.size() / static_cast<size_t>(count);
+  for (int i = 0; i < count; ++i) {
+    skills[static_cast<size_t>(i) * stride + 1] =
+        std::bit_cast<double>(bits + 64 * (static_cast<uint64_t>(i) + 1));
+  }
+}
+
+// A multi-round DyGroups-Star process past the wide-sort threshold with few,
+// large groups (k <= 8), against the reference loop. Star updates of
+// near-tie skills only move low mantissa bits, so every round keeps runs of
+// equal top-32 bits far longer than the radix-repair cutoff. The star
+// layout turns any reordering of ties at a block boundary into a different
+// grouping, and distinct teachers make that visible in the gains.
+TEST_P(SoaDifferentialTest, LargeStarProcessWithLongRunsMatchesReference) {
+  constexpr int kN = 49920;  // >= 48K, divisible by 2, 5 and 8
+  for (int num_groups : {2, 5, 8}) {
+    for (bool near_ties : {true, false}) {
+      for (auto mode : {InteractionMode::kStar, InteractionMode::kClique}) {
+        SCOPED_TRACE("k=" + std::to_string(num_groups) +
+                     (near_ties ? " near-ties" : " ties") + " mode=" +
+                     std::string(InteractionModeName(mode)));
+        random::Rng rng(static_cast<uint64_t>(num_groups) * 7 + near_ties);
+        SkillVector skills = near_ties ? NearTieSkills(rng, kN)
+                                       : GenSkills(rng, kN, Dist::kTies);
+        AddDistinctTeachers(skills, num_groups);
+        LinearGain gain(0.4);
+        ProcessConfig config;
+        config.num_groups = num_groups;
+        config.num_rounds = 4;
+        config.mode = mode;
+        config.record_history = false;  // engage the fused SoA path
+        DyGroupsStarPolicy policy;
+        auto result = RunProcess(skills, config, gain, policy);
+        ASSERT_TRUE(result.ok()) << result.status();
+
+        SkillVector current = skills;
+        for (int t = 0; t < config.num_rounds; ++t) {
+          auto grouping = reference::DyGroupsStarLocal(current, num_groups);
+          ASSERT_TRUE(grouping.ok());
+          auto round_gain =
+              reference::ApplyRound(mode, grouping.value(), gain, current);
+          ASSERT_TRUE(round_gain.ok());
+          ASSERT_BITEQ(result.value().round_gains[t], round_gain.value());
+        }
+        ExpectBitwiseEqual(result.value().final_skills, current,
+                           "final skills");
       }
     }
   }

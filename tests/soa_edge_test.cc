@@ -319,6 +319,35 @@ TEST(GroupRoundMembersEdgeTest, UnsortedMembersMatchReference) {
   }
 }
 
+// Two tied skill levels with members listed in descending id order: the
+// rank of every member inside its level is decided by the ascending-id
+// tie-break alone. Sizes straddle both radix thresholds of
+// GroupRoundMembers (2048, 48K). A tied low-level member's clique gain
+// depends on its rank, so a dropped tie-break changes the updated skills.
+TEST(GroupRoundMembersEdgeTest, RadixTiersBreakTiesByAscendingId) {
+  LinearGain gain(0.3);
+  for (int t : {2047, 2048, 49151, 49152}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    SkillVector skills(static_cast<size_t>(t));
+    for (int i = 0; i < t; ++i) skills[i] = i % 4 == 0 ? 4.5 : 2.0;
+    std::vector<int> members(static_cast<size_t>(t));
+    std::iota(members.rbegin(), members.rend(), 0);
+    SkillVector updated = skills;
+    double g = soa::GroupRoundMembers(
+        InteractionMode::kClique, gain, /*allow_fast_path=*/true, members,
+        skills, updated.data(), soa::ThreadLocalArena());
+    SkillVector ref = skills;
+    Grouping grouping({members});
+    auto ref_gain = reference::ApplyRound(InteractionMode::kClique, grouping,
+                                          gain, ref);
+    ASSERT_TRUE(ref_gain.ok());
+    EXPECT_EQ(Bits(g), Bits(ref_gain.value()));
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(Bits(updated[i]), Bits(ref[i])) << "id " << i;
+    }
+  }
+}
+
 TEST(SimdDispatchTest, ReportsAConsistentConfiguration) {
   soa::SimdIsa isa = soa::CompiledSimdIsa();
   EXPECT_STRNE(soa::SimdIsaName(isa), "");
