@@ -13,7 +13,6 @@
 //   bench_soa_kernels                      # compare both paths, print speedup
 //   bench_soa_kernels --path=soa --report_out=soa.json [--profile]
 //   bench_soa_kernels --path=reference --report_out=ref.json [--profile]
-//   bench_soa_kernels --simd=off           # SoA path with vector units off
 //   bench_soa_kernels --blackbox=bb.bin    # flight recorder on (overhead
 //                                          # certificate, DESIGN.md §12)
 //
@@ -146,7 +145,6 @@ double RunCase(const std::string& path, const BenchCase& bench_case,
 int Main(int argc, char** argv) {
   std::string path = "both";
   std::string blackbox;
-  bool simd_off = false;
   obs::GlobalBenchReporter().ParseReportFlag(argc, argv);
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -155,7 +153,6 @@ int Main(int argc, char** argv) {
       blackbox = std::string(arg.substr(11));
     }
     if (arg == "--profile") obs::SetProfilingEnabled(true);
-    if (arg == "--simd=off") simd_off = true;
   }
   if (!blackbox.empty()) {
     // The flight-recorder overhead certificate: identical case keys with
@@ -177,13 +174,9 @@ int Main(int argc, char** argv) {
                  "artifact's case keys name exactly one implementation\n");
     return 2;
   }
-  if (simd_off) soa::SetSimdEnabledForTest(false);
-
   PrintHeader("SoA kernel throughput vs AoS reference",
               "DESIGN.md §11 (structure-of-arrays data plane)");
-  std::printf("simd: compiled=%s enabled=%s   k=%d r=%.2f\n\n",
-              soa::SimdIsaName(soa::CompiledSimdIsa()),
-              soa::SimdEnabled() ? "yes" : "no", kGroups, kRate);
+  std::printf("k=%d r=%.2f\n\n", kGroups, kRate);
 
   const BenchCase cases[] = {
       {"deficits", 1000},     {"deficits", 10000},     {"deficits", 100000},

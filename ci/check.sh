@@ -41,9 +41,7 @@
 #            profiling on vs off
 #   soa      structure-of-arrays fast-path gate (DESIGN.md §11): runs the
 #            differential-oracle, edge, summation-order, and golden suites
-#            under ASan and UBSan (each also with the TDG_SIMD=off runtime
-#            gate), rebuilds with -DTDG_SIMD=OFF to prove the forced-scalar
-#            build is bit-identical to the goldens, then a bench smoke:
+#            under ASan and UBSan, then a bench smoke:
 #            records a profiled bench_soa_kernels report and self-diffs it
 #            with tdg_perfdiff on wall time and on an instruction counter,
 #            falling back to task_clock_ns on hosts without a PMU
@@ -108,8 +106,8 @@ ctest_args() {
     # The monitoring suites (Net accept loop, StatsServer scrape threads,
     # Progress/Heartbeat writer threads) are in the tsan net too, as are
     # the SoA suites: sweeps drive the arena through thread_local scratch
-    # and flip nothing but relaxed atomics on the SIMD gate, which is
-    # exactly the kind of claim tsan should referee. The Serve suites put a
+    # and share nothing else, which is exactly the kind of claim tsan
+    # should referee. The Serve suites put a
     # multi-worker HTTP server, per-cohort locks, and journal appends under
     # concurrent clients — the serving plane's whole thread-safety story.
     tsan)
@@ -403,7 +401,7 @@ run_soa() {
   # Every suite that pins the SoA fast path: the AoS-vs-SoA differential
   # oracle, alignment/aliasing/shape edge cases, the summation-order pins,
   # and the byte-identical sweep goldens + execution-path invariance.
-  local filter='Soa|Arena|SummationOrder|SortEdge|SimdRemainder|SimdDispatch|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|Invariance'
+  local filter='Soa|Arena|SummationOrder|SortEdge|Subspan|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|Invariance'
 
   for san in address undefined; do
     local build_dir="build-ci/soa-${san}"
@@ -415,20 +413,7 @@ run_soa() {
     echo "==> [soa/${san}] SoA suites"
     (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" \
       -R "${filter}")
-    echo "==> [soa/${san}] SoA suites with the TDG_SIMD=off runtime gate"
-    (cd "${build_dir}" && TDG_SIMD=off ctest --output-on-failure \
-      -j "${JOBS}" -R "${filter}")
   done
-
-  local scalar_dir="build-ci/soa-scalar"
-  echo "==> [soa/scalar] configure (-DTDG_SIMD=OFF)"
-  cmake -B "${scalar_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DTDG_SIMD=OFF >/dev/null
-  echo "==> [soa/scalar] build"
-  cmake --build "${scalar_dir}" -j "${JOBS}" --target tdg_tests >/dev/null
-  echo "==> [soa/scalar] forced-scalar build must still match the goldens"
-  (cd "${scalar_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "${filter}")
 
   echo "==> [soa/bench] build bench_soa_kernels + tdg_perfdiff"
   local bench_dir="build-ci/soa-bench"

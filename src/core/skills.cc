@@ -1,5 +1,7 @@
 #include "core/skills.h"
 
+#include <algorithm>
+
 #include "core/soa.h"
 #include "obs/perf_profile.h"
 #include "util/logging.h"
@@ -47,8 +49,8 @@ std::vector<double> SkillDeficits(std::span<const double> skills) {
   TDG_PERF_SCOPE("core/skills/deficits");
   std::vector<double> deficits(skills.size(), 0.0);
   if (skills.empty()) return deficits;
-  double top = soa::MaxValue(skills);
-  soa::SubtractFrom(top, skills, deficits);
+  const double top = *std::max_element(skills.begin(), skills.end());
+  for (size_t i = 0; i < skills.size(); ++i) deficits[i] = top - skills[i];
   return deficits;
 }
 

@@ -1,9 +1,7 @@
 #include "core/soa.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -13,85 +11,7 @@
 #include "util/logging.h"
 #include "util/string_util.h"
 
-// Compile-time ISA selection. -DTDG_SIMD=OFF defines TDG_SOA_FORCE_SCALAR
-// and strips the vector paths entirely; otherwise the widest ISA the TU is
-// compiled for wins (SSE2 is the x86-64 baseline, so the default build
-// always has a 2-lane path; -march=native upgrades to AVX2 where present).
-#if !defined(TDG_SOA_FORCE_SCALAR)
-#if defined(__AVX2__)
-#define TDG_SOA_ISA_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__)
-#define TDG_SOA_ISA_SSE2 1
-#include <emmintrin.h>
-#endif
-#endif
-
 namespace tdg::soa {
-
-// ---------------------------------------------------------------------------
-// SIMD dispatch
-// ---------------------------------------------------------------------------
-
-SimdIsa CompiledSimdIsa() {
-#if defined(TDG_SOA_ISA_AVX2)
-  return SimdIsa::kAvx2;
-#elif defined(TDG_SOA_ISA_SSE2)
-  return SimdIsa::kSse2;
-#else
-  return SimdIsa::kScalar;
-#endif
-}
-
-int SimdLanes() {
-  switch (CompiledSimdIsa()) {
-    case SimdIsa::kAvx2:
-      return 4;
-    case SimdIsa::kSse2:
-      return 2;
-    case SimdIsa::kScalar:
-      return 1;
-  }
-  return 1;
-}
-
-const char* SimdIsaName(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kAvx2:
-      return "avx2";
-    case SimdIsa::kSse2:
-      return "sse2";
-    case SimdIsa::kScalar:
-      return "scalar";
-  }
-  return "scalar";
-}
-
-namespace {
-
-bool SimdEnabledFromEnv() {
-  const char* env = std::getenv("TDG_SIMD");
-  if (env == nullptr) return true;
-  std::string_view value(env);
-  return !(value == "off" || value == "0" || value == "scalar" ||
-           value == "OFF");
-}
-
-std::atomic<bool>& SimdRuntimeSwitch() {
-  static std::atomic<bool> enabled{SimdEnabledFromEnv()};
-  return enabled;
-}
-
-}  // namespace
-
-bool SimdEnabled() {
-  return CompiledSimdIsa() != SimdIsa::kScalar &&
-         SimdRuntimeSwitch().load(std::memory_order_relaxed);
-}
-
-void SetSimdEnabledForTest(bool enabled) {
-  SimdRuntimeSwitch().store(enabled, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Arena
@@ -195,165 +115,15 @@ Arena& ThreadLocalArena() {
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels
+// Reduction
 // ---------------------------------------------------------------------------
-
-namespace {
-
-double MaxValueScalar(const double* x, size_t n) {
-  double top = x[0];
-  for (size_t i = 1; i < n; ++i) {
-    if (x[i] > top) top = x[i];
-  }
-  return top;
-}
-
-void SubtractFromScalar(double minuend, const double* x, double* out,
-                        size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = minuend - x[i];
-}
-
-void LinearStarGainsScalar(double r, double teacher, const double* s,
-                           double* g, size_t n) {
-  for (size_t i = 0; i < n; ++i) g[i] = r * (teacher - s[i]);
-}
-
-#if defined(TDG_SOA_ISA_AVX2)
-
-double MaxValueSimd(const double* x, size_t n) {
-  if (n < 8) return MaxValueScalar(x, n);
-  __m256d acc = _mm256_loadu_pd(x);
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double top = MaxValueScalar(lanes, 4);
-  for (; i < n; ++i) {
-    if (x[i] > top) top = x[i];
-  }
-  return top;
-}
-
-void SubtractFromSimd(double minuend, const double* x, double* out,
-                      size_t n) {
-  const __m256d m = _mm256_set1_pd(minuend);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_sub_pd(m, _mm256_loadu_pd(x + i)));
-  }
-  SubtractFromScalar(minuend, x + i, out + i, n - i);
-}
-
-void LinearStarGainsSimd(double r, double teacher, const double* s, double* g,
-                         size_t n) {
-  const __m256d vr = _mm256_set1_pd(r);
-  const __m256d vt = _mm256_set1_pd(teacher);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        g + i, _mm256_mul_pd(vr, _mm256_sub_pd(vt, _mm256_loadu_pd(s + i))));
-  }
-  LinearStarGainsScalar(r, teacher, s + i, g + i, n - i);
-}
-
-#elif defined(TDG_SOA_ISA_SSE2)
-
-double MaxValueSimd(const double* x, size_t n) {
-  if (n < 4) return MaxValueScalar(x, n);
-  __m128d acc = _mm_loadu_pd(x);
-  size_t i = 2;
-  for (; i + 2 <= n; i += 2) {
-    acc = _mm_max_pd(acc, _mm_loadu_pd(x + i));
-  }
-  alignas(16) double lanes[2];
-  _mm_store_pd(lanes, acc);
-  double top = lanes[1] > lanes[0] ? lanes[1] : lanes[0];
-  for (; i < n; ++i) {
-    if (x[i] > top) top = x[i];
-  }
-  return top;
-}
-
-void SubtractFromSimd(double minuend, const double* x, double* out,
-                      size_t n) {
-  const __m128d m = _mm_set1_pd(minuend);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_sub_pd(m, _mm_loadu_pd(x + i)));
-  }
-  SubtractFromScalar(minuend, x + i, out + i, n - i);
-}
-
-void LinearStarGainsSimd(double r, double teacher, const double* s, double* g,
-                         size_t n) {
-  const __m128d vr = _mm_set1_pd(r);
-  const __m128d vt = _mm_set1_pd(teacher);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(g + i,
-                  _mm_mul_pd(vr, _mm_sub_pd(vt, _mm_loadu_pd(s + i))));
-  }
-  LinearStarGainsScalar(r, teacher, s + i, g + i, n - i);
-}
-
-#endif
-
-}  // namespace
-
-double MaxValue(std::span<const double> x) {
-  TDG_CHECK(!x.empty());
-#if defined(TDG_SOA_ISA_AVX2) || defined(TDG_SOA_ISA_SSE2)
-  if (SimdEnabled()) return MaxValueSimd(x.data(), x.size());
-#endif
-  return MaxValueScalar(x.data(), x.size());
-}
-
-void SubtractFrom(double minuend, std::span<const double> x,
-                  std::span<double> out) {
-  TDG_CHECK_EQ(x.size(), out.size());
-  if (x.empty()) return;
-#if defined(TDG_SOA_ISA_AVX2) || defined(TDG_SOA_ISA_SSE2)
-  if (SimdEnabled()) {
-    SubtractFromSimd(minuend, x.data(), out.data(), x.size());
-    return;
-  }
-#endif
-  SubtractFromScalar(minuend, x.data(), out.data(), x.size());
-}
-
-void LinearStarGains(double r, double teacher, std::span<const double> s,
-                     std::span<double> gains) {
-  TDG_CHECK_EQ(s.size(), gains.size());
-  if (s.empty()) return;
-#if defined(TDG_SOA_ISA_AVX2) || defined(TDG_SOA_ISA_SSE2)
-  if (SimdEnabled()) {
-    LinearStarGainsSimd(r, teacher, s.data(), gains.data(), s.size());
-    return;
-  }
-#endif
-  LinearStarGainsScalar(r, teacher, s.data(), gains.data(), s.size());
-}
 
 double OrderedSum(std::span<const double> x) {
   // Deliberately sequential (see soa.h): this fold defines the reported
-  // accumulation order and must stay identical across scalar/SIMD builds.
+  // accumulation order.
   double sum = 0.0;
   for (double v : x) sum += v;
   return sum;
-}
-
-void Gather(std::span<const double> values, std::span<const int> idx,
-            std::span<double> out) {
-  TDG_CHECK_EQ(idx.size(), out.size());
-  for (size_t i = 0; i < idx.size(); ++i) out[i] = values[idx[i]];
-}
-
-void ScatterAdd(std::span<double> values, std::span<const int> idx,
-                std::span<const double> add) {
-  TDG_CHECK_EQ(idx.size(), add.size());
-  for (size_t i = 0; i < idx.size(); ++i) values[idx[i]] += add[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +403,8 @@ double GroupGainSorted(InteractionMode mode, const LearningGainFunction& gain,
     case InteractionMode::kStar: {
       const double teacher = sorted[0];
       if (gain.is_linear()) {
-        LinearStarGains(gain.rate(), teacher, sorted.subspan(1),
-                        gains.subspan(1));
+        const double r = gain.rate();
+        for (size_t i = 1; i < t; ++i) gains[i] = r * (teacher - sorted[i]);
       } else {
         for (size_t i = 1; i < t; ++i) {
           gains[i] = gain.Gain(teacher - sorted[i]);
@@ -720,7 +490,7 @@ double GroupRoundMembers(InteractionMode mode,
   };
   if (MembersAlreadySorted(members, skills)) {
     std::span<double> sorted = arena.Alloc<double>(t);
-    Gather(skills, members, sorted);
+    for (size_t i = 0; i < t; ++i) sorted[i] = skills[members[i]];
     return finish(sorted, [&](size_t i) { return members[i]; });
   }
   if (t >= kRadixMinN) {

@@ -16,22 +16,23 @@
 /// the Theorem-3 prefix-sum path), and the O(n/k) swap-delta objective —
 /// runs here over contiguous buffers with per-round scratch coming from a
 /// bump-allocated Arena, instead of per-participant objects and per-group
-/// heap allocations.
+/// heap allocations. Every kernel is a plain scalar loop: the speedup over
+/// the reference comes from the layout, the radix sort and the arena, not
+/// from vector intrinsics.
 ///
 /// Contract with the AoS reference (core/reference/reference_kernels.h):
 /// every kernel is **bitwise-identical** to the reference implementation.
 /// Two rules make that possible and must be preserved by future changes:
 ///
-///   1. Elementwise arithmetic is IEEE-identical: SIMD lanes execute the
-///      same mul/sub/div sequence as the scalar code (no FMA contraction —
-///      the build sets -ffp-contract=off), so per-member gains match the
-///      reference to the last bit.
+///   1. No FMA contraction (`-ffp-contract=off`): every elementwise gain
+///      runs the same mul/sub/div sequence as the reference, so per-member
+///      gains match it to the last bit.
 ///   2. Reductions are fixed-order: every sum that feeds a reported gain
 ///      (group gain, round gain, deficit totals) is a sequential
 ///      left-to-right fold (OrderedSum) and is NEVER vectorized. A
 ///      tree/lane reduction would change rounding and silently perturb
-///      sweep outputs (see soa_differential_test.cc's summation-order
-///      regression tests).
+///      sweep outputs (see the regression tests in
+///      summation_order_test.cc).
 ///
 /// The documented ULP tolerance of the differential oracle is therefore
 /// **0 ULP** for all five kernels. Any future kernel that genuinely needs a
@@ -40,41 +41,11 @@
 namespace tdg::soa {
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch
-// ---------------------------------------------------------------------------
-
-/// Instruction set the vector paths were compiled for. Dispatch is
-/// compile-time: AVX2 when the TU is built with -mavx2/-march=native, else
-/// SSE2 (baseline on x86-64), else scalar (other architectures, or a
-/// -DTDG_SIMD=OFF forced-scalar build).
-enum class SimdIsa { kScalar, kSse2, kAvx2 };
-
-/// The ISA compiled into this binary.
-SimdIsa CompiledSimdIsa();
-
-/// Doubles per vector lane of the compiled ISA (1 for scalar).
-int SimdLanes();
-
-/// "scalar", "sse2" or "avx2".
-const char* SimdIsaName(SimdIsa isa);
-
-/// True when vector paths are compiled in AND enabled at runtime. Runtime
-/// control: the TDG_SIMD environment variable ("off", "0" or "scalar"
-/// disables; read once at first use) or SetSimdEnabledForTest. Because every
-/// kernel is bitwise-identical in both modes, flipping this never changes
-/// any result — only throughput.
-bool SimdEnabled();
-
-/// Test/CLI override of the runtime switch. Forcing `true` on a scalar-only
-/// build is a no-op (kernels stay scalar).
-void SetSimdEnabledForTest(bool enabled);
-
-// ---------------------------------------------------------------------------
 // Arena: per-round scratch
 // ---------------------------------------------------------------------------
 
 /// Bump allocator for kernel scratch. All allocations are 64-byte aligned
-/// (cache line / widest vector), uninitialized, and trivially destroyed.
+/// (one cache line), uninitialized, and trivially destroyed.
 /// Lifetime is stack-like: an ArenaScope marks the current top on entry and
 /// releases back to it on exit, so nested kernels (e.g. the swap-delta
 /// objective calling the group-gain kernel) can share one arena without
@@ -151,35 +122,13 @@ class ArenaScope {
 Arena& ThreadLocalArena();
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels (SIMD with scalar fallback; bitwise == scalar)
+// Reduction
 // ---------------------------------------------------------------------------
-
-/// Maximum of a non-empty span. Bitwise equal to *std::max_element for
-/// NaN-free input (max is exact, so lane order cannot change the result).
-double MaxValue(std::span<const double> x);
-
-/// out[i] = minuend - x[i]. `out` must not overlap `x` partially (equal or
-/// disjoint spans are both fine).
-void SubtractFrom(double minuend, std::span<const double> x,
-                  std::span<double> out);
-
-/// gains[i] = r * (teacher - s[i]) — the linear star-mode learning gain of
-/// every member against a broadcast teacher skill.
-void LinearStarGains(double r, double teacher, std::span<const double> s,
-                     std::span<double> gains);
 
 /// Sequential left-to-right sum starting from 0.0. This is the ONLY
 /// reduction used for reported gains and is deliberately never vectorized
-/// (see the file comment); both SIMD and scalar builds run this exact loop.
+/// (see the file comment).
 double OrderedSum(std::span<const double> x);
-
-/// out[i] = values[idx[i]].
-void Gather(std::span<const double> values, std::span<const int> idx,
-            std::span<double> out);
-
-/// values[idx[i]] += add[i]. Indices must be distinct.
-void ScatterAdd(std::span<double> values, std::span<const int> idx,
-                std::span<const double> add);
 
 // ---------------------------------------------------------------------------
 // Sort

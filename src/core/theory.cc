@@ -34,7 +34,7 @@ util::StatusOr<int> SimulateRateOneStarSaturation(const SkillVector& skills,
                                                   int num_groups,
                                                   int max_rounds) {
   TDG_RETURN_IF_ERROR(ValidatePolicyArguments(skills, num_groups));
-  double top = soa::MaxValue(skills);
+  double top = *std::max_element(skills.begin(), skills.end());
   SkillVector current = skills;
   for (int round = 0; round <= max_rounds; ++round) {
     bool saturated = true;

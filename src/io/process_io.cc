@@ -57,10 +57,8 @@ util::StatusOr<Grouping> GroupingFromJson(const util::JsonValue& json) {
     }
     std::vector<int> group;
     for (const util::JsonValue& member : group_json.AsArray()) {
-      if (!member.is_number()) {
-        return util::Status::InvalidArgument("member ids must be numbers");
-      }
-      group.push_back(static_cast<int>(member.AsNumber()));
+      TDG_ASSIGN_OR_RETURN(int id, util::JsonToInt(member, "member id"));
+      group.push_back(id);
     }
     grouping.groups.push_back(std::move(group));
   }
@@ -92,22 +90,20 @@ util::StatusOr<Grouping> GroupingFromFlatJson(const util::JsonValue& json) {
                        json.GetField("assignment"));
   TDG_ASSIGN_OR_RETURN(util::JsonValue num_groups_json,
                        json.GetField("num_groups"));
-  if (!assignment_json.is_array() || !num_groups_json.is_number()) {
+  if (!assignment_json.is_array()) {
     return util::Status::InvalidArgument(
-        "flat grouping needs an 'assignment' array and a 'num_groups' "
-        "number");
+        "flat grouping needs an 'assignment' array");
   }
+  TDG_ASSIGN_OR_RETURN(int num_groups,
+                       util::JsonToInt(num_groups_json, "num_groups"));
   std::vector<int> assignment;
   assignment.reserve(assignment_json.AsArray().size());
   for (const util::JsonValue& entry : assignment_json.AsArray()) {
-    if (!entry.is_number()) {
-      return util::Status::InvalidArgument(
-          "assignment entries must be numbers");
-    }
-    assignment.push_back(static_cast<int>(entry.AsNumber()));
+    TDG_ASSIGN_OR_RETURN(int group,
+                         util::JsonToInt(entry, "assignment entry"));
+    assignment.push_back(group);
   }
-  return GroupingFromAssignment(assignment,
-                                static_cast<int>(num_groups_json.AsNumber()));
+  return GroupingFromAssignment(assignment, num_groups);
 }
 
 util::JsonValue ProcessResultToJson(const ProcessResult& result) {

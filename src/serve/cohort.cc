@@ -96,10 +96,8 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
   // a silent fallback.
   CohortConfig config;
   if (auto field = json.GetField("group_size"); field.ok()) {
-    if (!field->is_number()) {
-      return util::Status::InvalidArgument("group_size must be a number");
-    }
-    config.group_size = static_cast<int>(field->AsNumber());
+    TDG_ASSIGN_OR_RETURN(config.group_size,
+                         util::JsonToInt(*field, "group_size"));
   }
   if (auto field = json.GetField("policy"); field.ok()) {
     if (!field->is_string()) {

@@ -331,12 +331,18 @@ util::Status CohortManager::Enroll(
             "cohort '%s' already exists", id.c_str()));
       }
     }
-    if (util::FileExists(path)) {
+    // Exclusive create: of two racing enrolls of one id, exactly one gets
+    // the journal, so the loser never appends into the winner's file.
+    auto journal = util::DurableAppendFile::Create(path);
+    if (!journal.ok()) {
+      if (journal.status().code() != util::StatusCode::kFailedPrecondition) {
+        return journal.status();
+      }
       return util::Status::FailedPrecondition(util::StrFormat(
           "cohort '%s' already has a journal at '%s'", id.c_str(),
           path.c_str()));
     }
-    TDG_ASSIGN_OR_RETURN(entry->journal, util::DurableAppendFile::Open(path));
+    entry->journal = std::move(journal).value();
     util::Status appended =
         entry->journal.AppendLine(HeaderLine(id, config, participants));
     if (!appended.ok()) {

@@ -52,6 +52,11 @@ class DurableAppendFile {
   /// Opens (creating if absent, never truncating) `path` for appends.
   static StatusOr<DurableAppendFile> Open(const std::string& path);
 
+  /// Creates `path` for appends with O_CREAT|O_EXCL: FailedPrecondition if
+  /// an entry of that name already exists, so of several racing creators
+  /// exactly one gets the file.
+  static StatusOr<DurableAppendFile> Create(const std::string& path);
+
   bool is_open() const { return fd_ >= 0; }
 
   /// Appends `line` plus a trailing '\n' in a single write and syncs it to

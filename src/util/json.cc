@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -82,6 +83,21 @@ bool JsonValue::operator==(const JsonValue& other) const {
       return object_ == other.object_;
   }
   return false;
+}
+
+util::StatusOr<int> JsonToInt(const JsonValue& value, std::string_view what) {
+  if (!value.is_number()) {
+    return Status::InvalidArgument(std::string(what) + " must be a number");
+  }
+  const double number = value.AsNumber();
+  if (!(number >= std::numeric_limits<int>::min() &&
+        number <= std::numeric_limits<int>::max()) ||
+      std::trunc(number) != number) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s must be an integer in int range, got %.17g",
+        static_cast<int>(what.size()), what.data(), number));
+  }
+  return static_cast<int>(number);
 }
 
 std::string JsonEscape(std::string_view text) {

@@ -90,6 +90,12 @@ class JsonValue {
   Object object_;
 };
 
+/// `value` as an int, for the numbers that name counts and ids:
+/// InvalidArgument (naming the field as `what`) unless it is a number with
+/// an integral value inside int's range. Use this instead of casting
+/// AsNumber(), which truncates 2.5 to 2 and is undefined for 1e10.
+util::StatusOr<int> JsonToInt(const JsonValue& value, std::string_view what);
+
 /// Escapes a string for embedding in JSON (adds surrounding quotes).
 std::string JsonEscape(std::string_view text);
 

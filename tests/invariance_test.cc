@@ -11,7 +11,6 @@
 
 #include "core/dygroups.h"
 #include "core/process.h"
-#include "core/soa.h"
 #include "random/distributions.h"
 
 namespace tdg {
@@ -175,8 +174,8 @@ TEST(InvarianceTest, FinalSkillMultisetOrderIndependent) {
 
 // The whole invariance battery is about *outcomes*; the SoA plane promises
 // the outcomes are additionally invariant to which execution path produced
-// them. Run one representative process four ways — SIMD on/off × fused
-// (history off) / generic (history on) — and require bitwise agreement.
+// them. Run one representative process both ways — fused (history off) and
+// generic (history on) — and require bitwise agreement.
 TEST(InvarianceTest, ExecutionPathInvariance) {
   random::Rng rng(6);
   SkillVector skills =
@@ -186,29 +185,25 @@ TEST(InvarianceTest, ExecutionPathInvariance) {
   for (InteractionMode mode :
        {InteractionMode::kStar, InteractionMode::kClique}) {
     SkillVector baseline;
-    for (bool simd : {true, false}) {
-      for (bool history : {false, true}) {
-        soa::SetSimdEnabledForTest(simd);
-        auto policy = MakeDyGroupsPolicy(mode);
-        ProcessConfig config;
-        config.num_groups = 4;
-        config.num_rounds = 4;
-        config.mode = mode;
-        config.record_history = history;
-        auto result = RunProcess(skills, config, Gain(), *policy);
-        soa::SetSimdEnabledForTest(true);
-        ASSERT_TRUE(result.ok());
-        if (baseline.empty()) {
-          baseline = result->final_skills;
-          continue;
-        }
-        ASSERT_EQ(result->final_skills.size(), baseline.size());
-        for (size_t i = 0; i < baseline.size(); ++i) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(result->final_skills[i]),
-                    std::bit_cast<uint64_t>(baseline[i]))
-              << InteractionModeName(mode) << " simd=" << simd
-              << " history=" << history << " participant " << i;
-        }
+    for (bool history : {false, true}) {
+      auto policy = MakeDyGroupsPolicy(mode);
+      ProcessConfig config;
+      config.num_groups = 4;
+      config.num_rounds = 4;
+      config.mode = mode;
+      config.record_history = history;
+      auto result = RunProcess(skills, config, Gain(), *policy);
+      ASSERT_TRUE(result.ok());
+      if (baseline.empty()) {
+        baseline = result->final_skills;
+        continue;
+      }
+      ASSERT_EQ(result->final_skills.size(), baseline.size());
+      for (size_t i = 0; i < baseline.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(result->final_skills[i]),
+                  std::bit_cast<uint64_t>(baseline[i]))
+            << InteractionModeName(mode) << " history=" << history
+            << " participant " << i;
       }
     }
   }

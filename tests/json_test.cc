@@ -115,5 +115,25 @@ TEST(JsonParseTest, WhitespaceTolerant) {
   EXPECT_EQ(parsed->GetField("a")->AsArray().size(), 2u);
 }
 
+TEST(JsonToIntTest, AcceptsExactlyTheIntegralNumbersInIntRange) {
+  EXPECT_EQ(JsonToInt(JsonValue(7), "x").value(), 7);
+  EXPECT_EQ(JsonToInt(JsonValue(-3.0), "x").value(), -3);
+  EXPECT_EQ(JsonToInt(JsonValue(-0.0), "x").value(), 0);
+  EXPECT_EQ(JsonToInt(JsonValue(2147483647.0), "x").value(), 2147483647);
+  EXPECT_EQ(JsonToInt(JsonValue(-2147483648.0), "x").value(),
+            -2147483647 - 1);
+  for (double bad : {2.5, -0.5, 2147483648.0, -2147483649.0, 1e10, -1e10,
+                     1e300}) {
+    SCOPED_TRACE(bad);
+    auto status = JsonToInt(JsonValue(bad), "group_size").status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("group_size"), std::string::npos);
+  }
+  EXPECT_EQ(JsonToInt(JsonValue("3"), "x").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonToInt(JsonValue(), "x").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace tdg::util

@@ -48,6 +48,35 @@ TEST(GroupingJsonTest, RejectsMalformedJson) {
   EXPECT_FALSE(GroupingFromJson(bad_member).ok());
 }
 
+// Member ids, assignment entries and num_groups are ints carried as JSON
+// numbers: a fractional or out-of-range value is refused, never truncated
+// or cast out of range.
+TEST(GroupingJsonTest, RejectsNonIntegralAndOutOfRangeNumbers) {
+  auto parse = [](const char* text) {
+    auto json = util::JsonValue::Parse(text);
+    EXPECT_TRUE(json.ok()) << json.status();
+    return std::move(json).value();
+  };
+  for (const char* bad : {R"({"groups": [[0, 2.5], [1]]})",
+                          R"({"groups": [[0, 1e10], [1]]})"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(GroupingFromJson(parse(bad)).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  for (const char* bad : {R"({"assignment": [0, 1.5, 0], "num_groups": 2})",
+                          R"({"assignment": [0, 1e10], "num_groups": 2})",
+                          R"({"assignment": [0, 1], "num_groups": 2.5})",
+                          R"({"assignment": [0, 1], "num_groups": 1e10})"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(GroupingFromFlatJson(parse(bad)).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  auto flat = GroupingFromFlatJson(
+      parse(R"({"assignment": [0, 1, 0.0], "num_groups": 2})"));
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(flat->groups, (std::vector<std::vector<int>>{{0, 2}, {1}}));
+}
+
 TEST(ProcessResultJsonTest, RoundTripsExactly) {
   ProcessResult result = MakeResult();
   auto reparsed = ProcessResultFromJson(ProcessResultToJson(result));

@@ -7,14 +7,17 @@
 //   * the m/m+1 size profile and the join/leave/advance validation grammar;
 //   * durability — journals replay to bitwise-identical state (RNG stream
 //     included), a torn final line is healed, a corrupt middle line or a
-//     foreign digest is refused, and a restored cohort's *future* rounds
-//     match an uninterrupted one's.
+//     foreign digest is refused, a restored cohort's *future* rounds
+//     match an uninterrupted one's, and two racing enrolls of one id leave
+//     every journal replayable.
 
 #include "serve/cohort.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dygroups.h"
@@ -174,6 +177,28 @@ TEST(ServeCohortTest, ConfigSeedMustBeAnExactInteger) {
   CohortConfig config = StarConfig(4);
   config.seed = uint64_t{1} << 53;
   EXPECT_EQ(config.Validate().code(), util::StatusCode::kInvalidArgument);
+}
+
+// group_size arrives over HTTP as a JSON number. A fractional or
+// out-of-int-range value is refused, never truncated or cast out of range.
+TEST(ServeCohortTest, ConfigGroupSizeMustBeAnInt) {
+  auto parse = [](const std::string& text) {
+    auto json = util::JsonValue::Parse(text);
+    EXPECT_TRUE(json.ok()) << json.status();
+    return CohortConfig::FromJson(*json);
+  };
+  for (const char* bad :
+       {R"({"group_size": 2.5})", R"({"group_size": 1e10})",
+        R"({"group_size": -1e10})", R"({"group_size": "3"})"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse(bad).status().code(), util::StatusCode::kInvalidArgument);
+  }
+  auto three = parse(R"({"group_size": 3})");
+  ASSERT_TRUE(three.ok()) << three.status();
+  EXPECT_EQ(three->group_size, 3);
+  auto again = CohortConfig::FromJson(three->ToJson());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->group_size, 3);
 }
 
 // The load-bearing equivalence: a churn-free cohort whose size divides
@@ -394,6 +419,41 @@ TEST_F(ServeJournalTest, ForeignDigestIsRefused) {
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+// Two threads enrolling one id race on its journal. Exactly one may win,
+// and the loser must leave no bytes in the winner's file: a fresh manager
+// has to replay every journal.
+TEST_F(ServeJournalTest, ConcurrentEnrollOfOneIdKeepsEveryJournalReplayable) {
+  constexpr int kTrials = 1000;
+  {
+    auto manager = CohortManager::Open(DiskOptions());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    const std::vector<CohortParticipant> participants = MakeParticipants(4);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      std::string id = "race";
+      id += std::to_string(trial);
+      std::atomic<int> ready{0};
+      util::Status results[2];
+      auto enroll = [&](int slot) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        results[slot] = (*manager)->Enroll(id, StarConfig(2), participants);
+      };
+      std::thread first(enroll, 0);
+      std::thread second(enroll, 1);
+      first.join();
+      second.join();
+      ASSERT_NE(results[0].ok(), results[1].ok())
+          << "trial " << trial << ": " << results[0] << " / " << results[1];
+      const util::Status& loser = results[0].ok() ? results[1] : results[0];
+      EXPECT_EQ(loser.code(), util::StatusCode::kFailedPrecondition) << loser;
+    }
+  }
+  auto restored = CohortManager::Open(DiskOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->restored_cohorts(), kTrials);
 }
 
 TEST_F(ServeJournalTest, DuplicateEnrollAndUnknownCohortAreErrors) {

@@ -5,11 +5,8 @@
 // hundreds of randomized instances — heavy-tailed and degenerate skill
 // distributions, tie-saturated vectors, n from 2 to 10^4, every k shape —
 // asserting *bitwise* identical groupings, gains, and skill updates. The
-// whole suite runs twice: once with the SIMD paths enabled and once forced
-// scalar, which simultaneously proves scalar/SIMD parity (soa.h rule 1) and
-// reduction-order stability (rule 2). The documented tolerance is 0 ULP; a
-// change that needs more must update soa.h, DESIGN.md §11, and this file
-// together.
+// documented tolerance is 0 ULP; a change that needs more must update
+// soa.h, DESIGN.md §11, and this file together.
 
 #include <gtest/gtest.h>
 
@@ -254,16 +251,9 @@ void RunDifferentialInstance(uint64_t seed, int n) {
   }
 }
 
-class SoaDifferentialTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override { soa::SetSimdEnabledForTest(GetParam()); }
-  void TearDown() override { soa::SetSimdEnabledForTest(true); }
-};
-
-// 160 instances x {SIMD on, SIMD off} = 320 randomized instances, n from 2
-// to 240 — the small-n regime where every k shape (k=1, k=n, ragged
-// remainders against the vector width) occurs.
-TEST_P(SoaDifferentialTest, RandomizedSmallInstances) {
+// 160 randomized instances, n from 2 to 240 — the small-n regime where
+// every k shape (k=1, k=n, ragged group sizes) occurs.
+TEST(SoaDifferentialTest, RandomizedSmallInstances) {
   for (uint64_t seed = 1; seed <= 160; ++seed) {
     int n = 2 + static_cast<int>((seed * 7919) % 239);
     RunDifferentialInstance(seed, n);
@@ -271,9 +261,9 @@ TEST_P(SoaDifferentialTest, RandomizedSmallInstances) {
   }
 }
 
-// Large instances push the sort into its radix path (n >= 512) and the
-// round kernels across many vector iterations.
-TEST_P(SoaDifferentialTest, RandomizedLargeInstances) {
+// Large instances push most sorts into the radix path (n >= 2048) and the
+// round kernels over long groups.
+TEST(SoaDifferentialTest, RandomizedLargeInstances) {
   for (uint64_t seed = 1000; seed < 1010; ++seed) {
     int n = 512 + static_cast<int>((seed * 104729) % 9489);  // up to 10^4
     RunDifferentialInstance(seed, n);
@@ -287,7 +277,7 @@ TEST_P(SoaDifferentialTest, RandomizedLargeInstances) {
 // slimmer check than RunDifferentialInstance: the naive O(t^2) clique
 // oracle is too slow at this size, so only the linear-gain kernels run —
 // which are exactly the ones with wide-path-specific code.
-TEST_P(SoaDifferentialTest, RandomizedWideSortInstances) {
+TEST(SoaDifferentialTest, RandomizedWideSortInstances) {
   for (uint64_t seed = 2000; seed < 2002; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     random::Rng rng(seed);
@@ -331,7 +321,7 @@ TEST_P(SoaDifferentialTest, RandomizedWideSortInstances) {
 // result depends on the ascending-id tie-break; clique mode makes that
 // visible in the updated skills (tied members at different ranks learn
 // different amounts).
-TEST_P(SoaDifferentialTest, RadixGroupRoundsMatchReference) {
+TEST(SoaDifferentialTest, RadixGroupRoundsMatchReference) {
   struct Shape {
     int n;
     int num_groups;
@@ -397,7 +387,7 @@ void AddDistinctTeachers(SkillVector& skills, int count) {
 // equal top-32 bits far longer than the radix-repair cutoff. The star
 // layout turns any reordering of ties at a block boundary into a different
 // grouping, and distinct teachers make that visible in the gains.
-TEST_P(SoaDifferentialTest, LargeStarProcessWithLongRunsMatchesReference) {
+TEST(SoaDifferentialTest, LargeStarProcessWithLongRunsMatchesReference) {
   constexpr int kN = 49920;  // >= 48K, divisible by 2, 5 and 8
   for (int num_groups : {2, 5, 8}) {
     for (bool near_ties : {true, false}) {
@@ -438,7 +428,7 @@ TEST_P(SoaDifferentialTest, LargeStarProcessWithLongRunsMatchesReference) {
 // A multi-round process through the production driver (which takes the
 // fused SoA path for DyGroups policies when history is off) against a
 // hand-rolled reference loop.
-TEST_P(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
+TEST(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
   for (uint64_t seed = 21; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     random::Rng rng(seed);
@@ -477,7 +467,7 @@ TEST_P(SoaDifferentialTest, MultiRoundProcessMatchesReferenceLoop) {
 
 // The fused path and the record_history (generic) path must agree exactly —
 // they are the same process, differing only in data layout.
-TEST_P(SoaDifferentialTest, FusedAndHistoryPathsAgree) {
+TEST(SoaDifferentialTest, FusedAndHistoryPathsAgree) {
   for (uint64_t seed = 61; seed <= 75; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     random::Rng rng(seed);
@@ -502,41 +492,6 @@ TEST_P(SoaDifferentialTest, FusedAndHistoryPathsAgree) {
                        generic.value().round_gains, "round gains");
     ExpectBitwiseEqual(fused.value().final_skills,
                        generic.value().final_skills, "final skills");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(SimdOnOff, SoaDifferentialTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "simd" : "scalar";
-                         });
-
-// Scalar and SIMD paths must produce the same bits on the same inputs —
-// checked directly here (the parameterized suites prove it transitively
-// through the reference).
-TEST(SoaSimdParityTest, ElementwiseKernelsMatchScalarBitwise) {
-  random::Rng rng(99);
-  for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> x(n);
-    for (double& v : x) v = random::UniformReal(rng, -50.0, 50.0);
-    std::vector<double> out_simd(n), out_scalar(n);
-    std::vector<double> gains_simd(n), gains_scalar(n);
-
-    soa::SetSimdEnabledForTest(true);
-    double max_simd = soa::MaxValue(x);
-    soa::SubtractFrom(1.5, x, out_simd);
-    soa::LinearStarGains(0.37, 60.0, x, gains_simd);
-
-    soa::SetSimdEnabledForTest(false);
-    double max_scalar = soa::MaxValue(x);
-    soa::SubtractFrom(1.5, x, out_scalar);
-    soa::LinearStarGains(0.37, 60.0, x, gains_scalar);
-    soa::SetSimdEnabledForTest(true);
-
-    EXPECT_BITEQ(max_simd, max_scalar);
-    ExpectBitwiseEqual(out_simd, out_scalar, "SubtractFrom");
-    ExpectBitwiseEqual(gains_simd, gains_scalar, "LinearStarGains");
   }
 }
 

@@ -1,9 +1,9 @@
-// Alignment, aliasing, and shape edge cases of the SoA plane: vector-width
-// remainders, inputs shorter than a SIMD lane, degenerate group shapes
-// (k = n, k = 1), sign-of-zero ties in the radix sort key, and the arena's
-// stack discipline. These run under ASan/UBSan in ci/check.sh, which is
-// where the "64-byte aligned, never out of bounds, never overlapping
-// lifetimes" claims of soa.h actually get teeth.
+// Alignment, aliasing, and shape edge cases of the SoA plane: offset
+// subspans, degenerate group shapes (k = n, k = 1), sign-of-zero ties in
+// the radix sort key, and the arena's stack discipline. These run under
+// ASan/UBSan in ci/check.sh, which is where the "64-byte aligned, never out
+// of bounds, never overlapping lifetimes" claims of soa.h actually get
+// teeth.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,13 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/learning_gain.h"
 #include "core/reference/reference_kernels.h"
+#include "core/skills.h"
 #include "core/soa.h"
 #include "random/distributions.h"
 
@@ -96,45 +99,24 @@ TEST(ArenaTest, GrowthAcrossBlocksAndResetCoalesces) {
             0u);
 }
 
-// --- SIMD width remainders -------------------------------------------------
+// --- Offset subspans ---------------------------------------------------------
 
-// Every size from 1 to 4 vector widths + 3 covers all remainder shapes of
-// both the SSE2 (2-lane) and AVX2 (4-lane) paths, including n < lane count.
-TEST(SimdRemainderTest, AllSmallSizesMatchScalarBitwise) {
-  random::Rng rng(4242);
-  const int max_n = 4 * soa::SimdLanes() + 3;
-  for (int n = 1; n <= max_n; ++n) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<double> x(n);
-    for (double& v : x) v = random::UniformReal(rng, 0.1, 9.0);
-    std::vector<double> a(n), b(n);
-
-    soa::SetSimdEnabledForTest(true);
-    double max_on = soa::MaxValue(x);
-    soa::SubtractFrom(10.0, x, a);
-    soa::SetSimdEnabledForTest(false);
-    double max_off = soa::MaxValue(x);
-    soa::SubtractFrom(10.0, x, b);
-    soa::SetSimdEnabledForTest(true);
-
-    EXPECT_EQ(Bits(max_on), Bits(max_off));
-    for (int i = 0; i < n; ++i) EXPECT_EQ(Bits(a[i]), Bits(b[i]));
-  }
-}
-
-TEST(SimdRemainderTest, MisalignedViewsAreHandled) {
+TEST(SubspanTest, SkillDeficitsOverMisalignedViews) {
   // Arena spans are 64-byte aligned, but the kernels also accept arbitrary
   // subspans (e.g. sorted.subspan(1) in the star kernel) — exercise offsets
-  // 0..3 explicitly under SIMD.
+  // 0..3 explicitly, including views that drop the maximum.
   random::Rng rng(7);
   std::vector<double> x(64);
   for (double& v : x) v = random::UniformReal(rng, 0.1, 9.0);
+  x[0] = 10.0;
   for (size_t offset = 0; offset < 4; ++offset) {
+    SCOPED_TRACE("offset=" + std::to_string(offset));
     std::span<const double> view(x.data() + offset, x.size() - offset);
-    std::vector<double> out(view.size());
-    soa::SubtractFrom(100.0, view, out);
-    for (size_t i = 0; i < view.size(); ++i) {
-      ASSERT_EQ(Bits(out[i]), Bits(100.0 - view[i]));
+    std::vector<double> got = SkillDeficits(view);
+    std::vector<double> want = reference::SkillDeficits(view);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "index " << i;
     }
   }
 }
@@ -345,23 +327,6 @@ TEST(GroupRoundMembersEdgeTest, RadixTiersBreakTiesByAscendingId) {
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(Bits(updated[i]), Bits(ref[i])) << "id " << i;
     }
-  }
-}
-
-TEST(SimdDispatchTest, ReportsAConsistentConfiguration) {
-  soa::SimdIsa isa = soa::CompiledSimdIsa();
-  EXPECT_STRNE(soa::SimdIsaName(isa), "");
-  switch (isa) {
-    case soa::SimdIsa::kScalar:
-      EXPECT_EQ(soa::SimdLanes(), 1);
-      EXPECT_FALSE(soa::SimdEnabled());  // no vector code to enable
-      break;
-    case soa::SimdIsa::kSse2:
-      EXPECT_EQ(soa::SimdLanes(), 2);
-      break;
-    case soa::SimdIsa::kAvx2:
-      EXPECT_EQ(soa::SimdLanes(), 4);
-      break;
   }
 }
 

@@ -20,7 +20,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/soa.h"
 #include "exp/sweep.h"
 #include "obs/obs.h"
 
@@ -102,31 +101,6 @@ TEST(SweepGoldenTest, CsvAndJsonMatchGoldenAcrossThreadCounts) {
   // Stability against the checked-in goldens.
   EXPECT_EQ(csv[0], ReadFile(GoldenPath("sweep_small.csv")));
   EXPECT_EQ(json[0], ReadFile(GoldenPath("sweep_small.json")));
-}
-
-// The SoA parity half of the goldens contract (DESIGN.md §11): the sweep's
-// bytes were produced on the SoA fast path with SIMD enabled, and the same
-// bytes must come out with the vector units disabled at runtime. The golden
-// files are the seed-era AoS outputs, so this test transitively proves the
-// SoA refactor changed no reported number in any mode.
-TEST(SweepGoldenTest, ForcedScalarSweepIsByteIdenticalToGolden) {
-  if (soa::CompiledSimdIsa() == soa::SimdIsa::kScalar) {
-    GTEST_SKIP() << "scalar build: the main golden test already covers this";
-  }
-  MetricsOffGuard metrics_off;
-  soa::SetSimdEnabledForTest(false);
-  exp::SweepConfig config = GoldenConfig();
-  config.threads = 2;
-  auto result = exp::RunSweep(config);
-  soa::SetSimdEnabledForTest(true);
-  ASSERT_TRUE(result.ok()) << result.status();
-  if (std::getenv("TDG_UPDATE_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "golden files regenerated by the main test";
-  }
-  EXPECT_EQ(result->ToCsv().ToString(),
-            ReadFile(GoldenPath("sweep_small.csv")));
-  EXPECT_EQ(result->ToJson().SerializePretty() + "\n",
-            ReadFile(GoldenPath("sweep_small.json")));
 }
 
 }  // namespace
