@@ -52,7 +52,8 @@
 #            sweep shard mid-cell via TDG_TEST_CRASH_AFTER_CELLS and again
 #            with a raw `kill -9`, and require `tdg_blackbox` to decode a
 #            dump whose last sweep_cell_end agrees with the checkpoint's
-#            last appended cell
+#            last appended cell; and render an unsharded sweep's dump with
+#            `tdg_blackbox --trace` into one B/E slice pair per cell
 #   serve    cohort-serving e2e (DESIGN.md §13): run the serving-plane
 #            suites (cohort state machine, churn property battery, HTTP
 #            request fuzz, journal replay, concurrency soak) under asan and
@@ -111,7 +112,7 @@ ctest_args() {
     # multi-worker HTTP server, per-cohort locks, and journal appends under
     # concurrent clients — the serving plane's whole thread-safety story.
     tsan)
-      echo "-R ThreadPool|ParallelFor|Obs|Trace|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|EventLog|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
+      echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
       ;;
     crash-resume)
       echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
@@ -457,7 +458,7 @@ run_blackbox() {
     --target tdg_tests tdg_sweep_shard_child >/dev/null
   echo "==> [blackbox] ring-buffer / recorder / server suites (tsan)"
   (cd "${tsan_dir}" && ctest --output-on-failure -j "${JOBS}" \
-    -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer|EventLog")
+    -R "FlightRecorder|Blackbox|RecordRing|MmapFile|StatsServer")
 
   echo "==> [blackbox] crash-dump e2e"
   local build_dir="build-ci/blackbox"
@@ -508,6 +509,37 @@ EOF
   if [[ -z "${last_bb}" || "${last_bb}" != "${last_ckpt}" ]]; then
     echo "blackbox last sweep_cell_end (${last_bb:-none}) does not match" \
       "checkpoint last cell (${last_ckpt:-none})" >&2
+    exit 1
+  fi
+
+  echo "==> [blackbox] unsharded sweep renders one trace slice per cell"
+  # exp::RunSweep (no --checkpoint) marks cell boundaries like the shard
+  # path, so the Chrome trace decode is the sweep's run timeline: exactly
+  # one B/E slice pair per grid cell (16 here).
+  "${cli}" sweep --config="${work}/sweep.cfg" --no_metrics \
+    --blackbox="${work}/unsharded.blackbox" >/dev/null
+  "${decode}" --trace="${work}/unsharded.trace.json" \
+    "${work}/unsharded.blackbox" 2>/dev/null
+  local trace="${work}/unsharded.trace.json"
+  if [[ "$(head -c 1 "${trace}")" != "[" ]] ||
+     [[ "$(tail -n 1 "${trace}")" != "]" ]]; then
+    echo "tdg_blackbox --trace did not emit a JSON array" >&2
+    exit 1
+  fi
+  local cell phase slices
+  for cell in $(seq 0 15); do
+    for phase in B E; do
+      slices="$(grep -c "\"name\":\"cell ${cell}\",\"ph\":\"${phase}\"" \
+        "${trace}" || true)"
+      if [[ "${slices}" -ne 1 ]]; then
+        echo "cell ${cell}: ${slices} '${phase}' slices, want 1" >&2
+        exit 1
+      fi
+    done
+  done
+  if [[ "$(grep -c '"ph":"B"' "${trace}")" -ne 16 ||
+        "$(grep -c '"ph":"E"' "${trace}")" -ne 16 ]]; then
+    echo "unsharded trace has slices beyond the 16 cells" >&2
     exit 1
   fi
 

@@ -36,17 +36,11 @@
 //
 // Observability flags (valid with every command):
 //
-//   --trace_out=<file>     Record tdg::obs trace spans for the whole run and
-//                          write them as Chrome trace-event JSON (open in
-//                          chrome://tracing or https://ui.perfetto.dev).
 //   --metrics_out=<file>   Write a JSON snapshot of the tdg::obs metrics
 //                          registry (counters / gauges / histograms with
 //                          p50/p95/p99) at the end of the run.
 //   --print_metrics        Print the end-of-run metrics table to stdout
 //                          (implied by --metrics_out).
-//   --events_out=<file>    Stream structured JSONL progress events (sweep
-//                          start/cell/end, run provenance) for the whole
-//                          run; summarize with `tdg_perfdiff --events=`.
 //   --manifest_out=<file>  Write the run's provenance manifest
 //                          (tdg.run_manifest.v1: git sha, compiler, host,
 //                          seed, args) as JSON.
@@ -92,7 +86,9 @@
 //                          kill -9; decode with `tdg_blackbox`, or tail it
 //                          live at /blackboxz when --stats_port is up. Bare
 //                          --blackbox (sweep with --checkpoint) defaults to
-//                          <checkpoint>.blackbox.
+//                          <checkpoint>.blackbox. For a run timeline,
+//                          `tdg_blackbox --trace=<out>` renders the dump as
+//                          Chrome trace JSON and `--jsonl` as JSONL events.
 
 #include <cstdio>
 #include <fstream>
@@ -343,9 +339,8 @@ void PrintUsage() {
       "usage: example_tdg_cli <command> [flags]\n"
       "commands: policies | run | sweep | config-template | exact | "
       "human-sim\n"
-      "observability (any command): --trace_out=<file> --metrics_out=<file> "
-      "--print_metrics --events_out=<file> --manifest_out=<file> "
-      "--no_metrics --profile\n"
+      "observability (any command): --metrics_out=<file> --print_metrics "
+      "--manifest_out=<file> --no_metrics --profile\n"
       "live monitoring (any command): --stats_port=<port|0> "
       "--stats_port_file=<file> --progress; sweep: --heartbeat "
       "[--heartbeat_period_ms=MS]\n"
@@ -380,9 +375,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
-  const std::string trace_out = flags.GetString("trace_out", "");
   const std::string metrics_out = flags.GetString("metrics_out", "");
-  const std::string events_out = flags.GetString("events_out", "");
   const std::string manifest_out = flags.GetString("manifest_out", "");
   const bool print_metrics =
       flags.GetBool("print_metrics", false) || !metrics_out.empty();
@@ -413,15 +406,6 @@ int main(int argc, char** argv) {
     auto status =
         tdg::obs::FlightRecorder::Global().Start(recorder_options);
     if (!status.ok()) return Fail(status);
-  }
-  if (!trace_out.empty()) tdg::obs::StartTracing();
-  if (!events_out.empty()) {
-    auto status = tdg::obs::EventLog::Global().Open(events_out);
-    if (!status.ok()) return Fail(status);
-    TDG_OBS_EVENT("cli/start",
-                  (tdg::util::JsonValue::Object{
-                      {"command", flags.positional().front()},
-                  }));
   }
 
   // Live monitoring plane. All of it observes only — outputs are
@@ -478,23 +462,6 @@ int main(int argc, char** argv) {
     }
     out << manifest.ToJson().SerializePretty() << "\n";
     std::printf("wrote manifest to %s\n", manifest_out.c_str());
-  }
-  if (!events_out.empty()) {
-    TDG_OBS_EVENT("cli/end", (tdg::util::JsonValue::Object{
-                                 {"exit_code", exit_code},
-                             }));
-    tdg::obs::EventLog& log = tdg::obs::EventLog::Global();
-    const long long events = log.events_written();
-    log.Close();
-    std::printf("wrote %lld events to %s\n", events, events_out.c_str());
-  }
-
-  if (!trace_out.empty()) {
-    tdg::obs::StopTracing();
-    auto status = tdg::obs::WriteTraceFile(trace_out);
-    if (!status.ok()) return Fail(status);
-    std::printf("wrote trace to %s (%zu events)\n", trace_out.c_str(),
-                tdg::obs::CollectTraceEvents().size());
   }
   if (print_metrics) {
     std::printf("\n== tdg::obs metrics ==\n%s",

@@ -6,7 +6,6 @@
 //       [--confidence=0.95] [--resamples=2000] [--gate_case_set]
 //       [--json_out=<path>]
 //   tdg_perfdiff --self-check=BENCH.json   # schema/structure validation
-//   tdg_perfdiff --events=run.jsonl        # summarize an event stream
 //
 // Pairs cases by key; a case regresses only when the mean metric ratio
 // exceeds the threshold AND Welch's one-sided t-test plus a bootstrap CI on
@@ -18,12 +17,9 @@
 // codes: 0 = gate passed, 1 = regression (or, with --gate_case_set, a case
 // appeared/vanished), 2 = usage or input error.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "obs/obs.h"
 #include "util/flags.h"
@@ -39,8 +35,7 @@ int Usage() {
       "      [--metric=wall|instructions|cycles|...] [--threshold=1.10]\n"
       "      [--alpha=0.05] [--confidence=0.95] [--resamples=2000]\n"
       "      [--gate_case_set] [--json_out=<path>]\n"
-      "  tdg_perfdiff --self-check=<report.json>\n"
-      "  tdg_perfdiff --events=<events.jsonl>\n");
+      "  tdg_perfdiff --self-check=<report.json>\n");
   return 2;
 }
 
@@ -69,47 +64,6 @@ int SelfCheck(const std::string& path) {
   return 0;
 }
 
-int SummarizeEvents(const std::string& path) {
-  auto events = tdg::obs::ParseEventLogFile(path);
-  if (!events.ok()) {
-    std::fprintf(stderr, "tdg_perfdiff: %s\n",
-                 events.status().ToString().c_str());
-    return 2;
-  }
-  if (events->empty()) {
-    std::printf("%s: empty event stream\n", path.c_str());
-    return 0;
-  }
-  struct PerEvent {
-    int64_t count = 0;
-    int64_t first_ts = 0;
-    int64_t last_ts = 0;
-  };
-  std::map<std::string, PerEvent> by_name;
-  std::map<int, int64_t> by_tid;
-  int64_t min_ts = events->front().ts_micros;
-  int64_t max_ts = events->front().ts_micros;
-  for (const tdg::obs::EventRecord& record : *events) {
-    PerEvent& stats = by_name[record.event];
-    if (stats.count == 0) stats.first_ts = record.ts_micros;
-    ++stats.count;
-    stats.last_ts = record.ts_micros;
-    ++by_tid[record.tid];
-    min_ts = std::min(min_ts, record.ts_micros);
-    max_ts = std::max(max_ts, record.ts_micros);
-  }
-  std::printf("%s: %zu events, %zu kinds, %zu threads, span %.3f ms\n",
-              path.c_str(), events->size(), by_name.size(), by_tid.size(),
-              static_cast<double>(max_ts - min_ts) / 1000.0);
-  for (const auto& [name, stats] : by_name) {
-    std::printf("  %-32s x%-8lld [%.3f ms .. %.3f ms]\n", name.c_str(),
-                static_cast<long long>(stats.count),
-                static_cast<double>(stats.first_ts - min_ts) / 1000.0,
-                static_cast<double>(stats.last_ts - min_ts) / 1000.0);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,9 +77,6 @@ int main(int argc, char** argv) {
   std::string self_check = flags.GetString("self-check", "");
   if (self_check.empty()) self_check = flags.GetString("self_check", "");
   if (!self_check.empty()) return SelfCheck(self_check);
-
-  const std::string events = flags.GetString("events", "");
-  if (!events.empty()) return SummarizeEvents(events);
 
   const std::string baseline_path = flags.GetString("baseline", "");
   const std::string candidate_path = flags.GetString("candidate", "");

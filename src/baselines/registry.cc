@@ -20,8 +20,8 @@ const std::vector<std::string>& AllPolicyNames() {
 
 // Policies are returned bare, so RunProcess sees each one's kernel_kind()
 // and DyGroups policies take the fused SoA round. Their time is charged by
-// the caller's own instrumentation (the `process/round` spans and the
-// sweep's per-cell `sweep/process_micros/...` histograms).
+// the caller's own instrumentation (the flight recorder's round records
+// and the sweep's per-cell `sweep/process_micros/...` histograms).
 util::StatusOr<std::unique_ptr<GroupingPolicy>> MakePolicy(
     std::string_view name, uint64_t seed) {
   std::unique_ptr<GroupingPolicy> policy;

@@ -181,7 +181,6 @@ util::StatusOr<BranchBoundResult> SolveTdgBranchBound(
   if (num_rounds < 0) {
     return util::Status::InvalidArgument("num_rounds must be >= 0");
   }
-  TDG_TRACE_SPAN("solver/branch_bound");
   // Coordination self time (enumeration, warm start, frontier seeding,
   // result selection); the per-subtree searches attribute separately from
   // their worker threads.

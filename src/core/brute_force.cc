@@ -133,7 +133,6 @@ util::StatusOr<BruteForceResult> SolveTdgBruteForce(
   if (num_rounds < 0) {
     return util::Status::InvalidArgument("num_rounds must be >= 0");
   }
-  TDG_TRACE_SPAN("solver/brute_force");
   // Coordination self time (enumeration, sharding, result selection); the
   // per-shard searches attribute separately from their worker threads.
   TDG_PERF_SCOPE("core/brute_force/search");

@@ -22,6 +22,18 @@ util::StatusOr<InteractionMode> ParseInteractionMode(std::string_view name) {
                                        std::string(name) + "'");
 }
 
+obs::PerfDomain& RoundKernelPerfDomain(InteractionMode mode,
+                                       bool clique_prefix) {
+  static obs::PerfDomain& star_domain =
+      obs::PerfDomain::Get("core/learning_gain/star");
+  static obs::PerfDomain& prefix_domain =
+      obs::PerfDomain::Get("core/theory/clique_prefix");
+  static obs::PerfDomain& naive_domain =
+      obs::PerfDomain::Get("core/learning_gain/clique_naive");
+  if (mode == InteractionMode::kStar) return star_domain;
+  return clique_prefix ? prefix_domain : naive_domain;
+}
+
 namespace {
 
 // The per-group work (gather, rank sort, gain kernel, scatter-add) lives on
@@ -40,22 +52,9 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
                                           nullptr) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
-  TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
-                                                : "interaction/clique_round");
 #if !defined(TDG_OBS_DISABLED)
-  // Attribute the round to the kernel that actually runs: star update,
-  // Theorem-3 linear-clique prefix sums, or the naive O(t^2) clique path.
-  static obs::PerfDomain& star_domain =
-      obs::PerfDomain::Get("core/learning_gain/star");
-  static obs::PerfDomain& prefix_domain =
-      obs::PerfDomain::Get("core/theory/clique_prefix");
-  static obs::PerfDomain& naive_domain =
-      obs::PerfDomain::Get("core/learning_gain/clique_naive");
   obs::ScopedPerfDomain perf_scope(
-      mode == InteractionMode::kStar
-          ? star_domain
-          : (allow_fast_path && gain.is_linear() ? prefix_domain
-                                                 : naive_domain));
+      RoundKernelPerfDomain(mode, allow_fast_path && gain.is_linear()));
 #endif
   soa::Arena& arena = soa::ThreadLocalArena();
   if (group_gains_out != nullptr) {

@@ -10,6 +10,10 @@
 
 namespace tdg {
 
+namespace obs {
+class PerfDomain;
+}  // namespace obs
+
 /// Within-group interaction structure (paper §II):
 ///  - Star: every member learns only from the group's highest-skilled member.
 ///  - Clique: every member learns from all higher-skilled members of the
@@ -20,6 +24,14 @@ enum class InteractionMode { kStar, kClique };
 
 std::string_view InteractionModeName(InteractionMode mode);
 util::StatusOr<InteractionMode> ParseInteractionMode(std::string_view name);
+
+/// Profiling domain (obs/perf_profile.h) a round's group kernels charge:
+/// the star update, the Theorem-3 linear-clique prefix walk
+/// (`clique_prefix`), or the naive O(t^2) clique path. ApplyRound, the
+/// fused soa::DyGroupsRound and the reference oracle all attribute through
+/// it, so the three report under the same names.
+obs::PerfDomain& RoundKernelPerfDomain(InteractionMode mode,
+                                       bool clique_prefix);
 
 /// Applies one learning round: updates `skills` in place under `grouping` and
 /// returns the round's aggregated learning gain LG(G_t) = Σ_x g(x) (Eq. 3).

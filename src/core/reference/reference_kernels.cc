@@ -10,12 +10,12 @@
 #include "obs/perf_profile.h"
 #include "util/logging.h"
 
-// The kernels here keep the timing instrumentation (perf scopes, trace
-// spans, perf domains) of the production originals so that profiled
-// reference-vs-SoA benchmark runs carry identical per-call overhead on
-// both sides. Observability *counters* stay production-only: the oracle
-// runs alongside the production path in differential tests and must not
-// double-count its metrics.
+// The kernels here keep the timing instrumentation (perf scopes and perf
+// domains) of the production originals so that profiled reference-vs-SoA
+// benchmark runs carry identical per-call overhead on both sides.
+// Observability *counters* stay production-only: the oracle runs alongside
+// the production path in differential tests and must not double-count its
+// metrics.
 
 namespace tdg::reference {
 
@@ -177,22 +177,9 @@ util::StatusOr<double> ApplyRoundImpl(InteractionMode mode,
                                       bool allow_fast_path) {
   TDG_RETURN_IF_ERROR(
       grouping.ValidatePartition(static_cast<int>(skills.size())));
-  TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
-                                                : "interaction/clique_round");
 #if !defined(TDG_OBS_DISABLED)
-  // Attribute the round to the kernel that actually runs: star update,
-  // Theorem-3 linear-clique prefix sums, or the naive O(t^2) clique path.
-  static obs::PerfDomain& star_domain =
-      obs::PerfDomain::Get("core/learning_gain/star");
-  static obs::PerfDomain& prefix_domain =
-      obs::PerfDomain::Get("core/theory/clique_prefix");
-  static obs::PerfDomain& naive_domain =
-      obs::PerfDomain::Get("core/learning_gain/clique_naive");
   obs::ScopedPerfDomain perf_scope(
-      mode == InteractionMode::kStar
-          ? star_domain
-          : (allow_fast_path && gain.is_linear() ? prefix_domain
-                                                 : naive_domain));
+      RoundKernelPerfDomain(mode, allow_fast_path && gain.is_linear()));
 #endif
   double round_gain = 0.0;
   for (const auto& members : grouping.groups) {

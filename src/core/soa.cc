@@ -551,8 +551,6 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
         num_groups));
   }
   const int group_size = n / num_groups;
-  TDG_TRACE_SPAN(mode == InteractionMode::kStar ? "interaction/star_round"
-                                                : "interaction/clique_round");
   ArenaScope scope(arena);
   SortedKeyIds records = SortKeyIds(skills, arena);
   std::span<const KeyId> pairs = records.sorted;
@@ -585,18 +583,9 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
   double round_gain = 0.0;
   if (group_size > 1) {
 #if !defined(TDG_OBS_DISABLED)
-    // Same attribution domains as the AoS ApplyRound (the sort above
-    // charges core/skills/sort for itself).
-    static obs::PerfDomain& star_domain =
-        obs::PerfDomain::Get("core/learning_gain/star");
-    static obs::PerfDomain& prefix_domain =
-        obs::PerfDomain::Get("core/theory/clique_prefix");
-    static obs::PerfDomain& naive_domain =
-        obs::PerfDomain::Get("core/learning_gain/clique_naive");
+    // The sort above charges core/skills/sort for itself.
     obs::ScopedPerfDomain perf_scope(
-        mode == InteractionMode::kStar
-            ? star_domain
-            : (gain.is_linear() ? prefix_domain : naive_domain));
+        RoundKernelPerfDomain(mode, gain.is_linear()));
 #endif
     const size_t t = static_cast<size_t>(group_size);
     std::span<double> group = arena.Alloc<double>(t);

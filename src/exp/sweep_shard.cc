@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "baselines/registry.h"
-#include "obs/event_log.h"
 #include "obs/obs.h"
 #include "obs/run_manifest.h"
 #include "util/file_util.h"
@@ -324,7 +323,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         {{"shard_index", std::to_string(options.shard_index)},
          {"shard_count", std::to_string(options.shard_count)}});
   }
-  TDG_TRACE_SPAN("sweep/shard");
 
   const std::vector<std::string> policies = SweepPolicies(config);
   const std::vector<SweepPoint> points = GridPoints(config);
@@ -421,18 +419,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
   }
   TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_restored",
                       shard_result.cells_restored);
-  TDG_OBS_EVENT("sweep/shard_start",
-                (util::JsonValue::Object{
-                    {"name", config.name},
-                    {"shard_index", options.shard_index},
-                    {"shard_count", options.shard_count},
-                    {"cells_total", cells_total},
-                    {"shard_cells",
-                     static_cast<long long>(shard_cells.size())},
-                    {"cells_restored", shard_result.cells_restored},
-                    {"torn_tail_dropped", shard_result.torn_tail_dropped},
-                    {"digest", digest},
-                }));
 
   std::atomic<bool> failed{false};
   util::Status first_error;
@@ -554,13 +540,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
       });
   heartbeat.Stop();
   progress.EndRun();
-  TDG_OBS_EVENT("sweep/shard_end",
-                (util::JsonValue::Object{
-                    {"name", config.name},
-                    {"shard_index", options.shard_index},
-                    {"cells_run", appended_this_run},
-                    {"ok", !failed.load()},
-                }));
   if (failed.load()) return first_error;
 
   shard_result.cells_run = appended_this_run;

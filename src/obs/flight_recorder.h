@@ -36,8 +36,8 @@ namespace tdg::obs {
 /// Start/Stop cost a mutex; Record costs two relaxed/acquire loads when
 /// inactive and one 64-byte memcpy when active. The TDG_BLACKBOX macro
 /// additionally compiles out — arguments unevaluated — under
-/// TDG_OBS_DISABLED, while the explicit API keeps working (EventLog
-/// precedent), so obs-off builds still honor an explicit --blackbox.
+/// TDG_OBS_DISABLED, while the explicit API keeps working, so obs-off
+/// builds still honor an explicit --blackbox.
 
 /// Binary schema identifier; bump kBlackboxVersion on incompatible change.
 inline constexpr char kBlackboxMagic[8] = {'T', 'D', 'G', 'B',

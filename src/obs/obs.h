@@ -3,47 +3,46 @@
 
 /// tdg::obs — runtime observability for the DyGroups engine.
 ///
-/// Two pillars, both process-wide:
-///   * a thread-safe metrics registry (metrics.h): named counters, gauges,
-///     and fixed-bucket latency histograms with p50/p95/p99 summaries,
-///     exportable to JSON / CSV / an ASCII table;
-///   * scoped tracing spans (trace.h): TDG_TRACE_SPAN("policy/...") records
-///     into per-thread ring buffers, exported as Chrome trace_event JSON.
+/// The base pillar is process-wide: a thread-safe metrics registry
+/// (metrics.h) of named counters, gauges, and fixed-bucket latency
+/// histograms with p50/p95/p99 summaries, exportable to JSON / CSV / an
+/// ASCII table.
 ///
 /// Controls:
 ///   * compile time — building with -DTDG_OBS_DISABLED compiles every
-///     TDG_TRACE_SPAN / TDG_OBS_* macro to nothing. Explicit API calls
-///     (e.g. the sweep's process-latency histogram that feeds mean_micros)
-///     remain functional: they are product features, not optional
-///     instrumentation.
-///   * runtime — SetMetricsEnabled(false) freezes every metric, and tracing
-///     is off unless StartTracing() was called. With both off, instrumented
-///     hot paths cost one relaxed atomic load per site.
+///     TDG_OBS_* / TDG_PERF_SCOPE / TDG_BLACKBOX macro to nothing. Explicit
+///     API calls (e.g. the sweep's process-latency histogram that feeds
+///     mean_micros) remain functional: they are product features, not
+///     optional instrumentation.
+///   * runtime — SetMetricsEnabled(false) freezes every metric; profiling
+///     and the flight recorder are off unless started. With all of them
+///     off, instrumented hot paths cost one relaxed atomic load per site.
 ///
-/// A third pillar — the live monitoring plane (stats_server.h, progress.h,
-/// heartbeat.h, prometheus.h) — serves the same registry over loopback HTTP
-/// (/metrics Prometheus exposition, /statusz, /progressz, /healthz), tracks
-/// sweep progress/ETA, and lets crash-safe shards advertise liveness via
-/// atomic heartbeat files. All of it only *reads* experiment state: outputs
-/// are byte-identical with and without the server.
+/// The live monitoring plane (stats_server.h, progress.h, heartbeat.h,
+/// prometheus.h) serves the same registry over loopback HTTP (/metrics
+/// Prometheus exposition, /statusz, /progressz, /healthz), tracks sweep
+/// progress/ETA, and lets crash-safe shards advertise liveness via atomic
+/// heartbeat files. All of it only *reads* experiment state: outputs are
+/// byte-identical with and without the server.
 ///
-/// A fourth pillar — kernel profiling (perf_counters.h, perf_profile.h) —
-/// reads hardware counters (cycles, instructions, cache/branch misses) via
-/// perf_event_open, degrading to getrusage/clock_gettime where perf access
-/// is denied, and attributes them to named kernel domains through RAII
-/// ScopedPerfDomain zones. Attribution lands in registry counters
-/// "perf/<domain>/<event>", so it reaches /metrics, --metrics_out and bench
-/// reports without extra plumbing. Off by default; enable with `--profile`
-/// (bench/CLI binaries) or TDG_PROFILE=1.
+/// Kernel profiling (perf_counters.h, perf_profile.h) is the one zone
+/// primitive: it reads hardware counters (cycles, instructions, cache/branch
+/// misses) via perf_event_open, degrading to getrusage/clock_gettime where
+/// perf access is denied, and attributes them to named kernel domains
+/// through RAII ScopedPerfDomain zones (TDG_PERF_SCOPE). Attribution lands
+/// in registry counters "perf/<domain>/<event>", so it reaches /metrics,
+/// --metrics_out and bench reports without extra plumbing. Off by default;
+/// enable with `--profile` (bench/CLI binaries) or TDG_PROFILE=1.
 ///
-/// A fifth pillar — the flight recorder (flight_recorder.h) — is the
-/// always-on black box: per-thread mmap-backed ring buffers of compact
-/// semantic events (round objectives, group churn, sweep cell boundaries)
-/// whose dump file survives kill -9, decoded by `tdg_blackbox` and tailed
-/// live on /blackboxz.
+/// The flight recorder (flight_recorder.h) is the one event sink: the
+/// always-on black box of per-thread mmap-backed ring buffers of compact
+/// semantic events (round objectives, group churn, sweep cell boundaries,
+/// request phases) whose dump file survives kill -9. `tdg_blackbox` decodes
+/// it — as JSONL or as a Chrome trace timeline — and /blackboxz tails it
+/// live.
 ///
-/// A sixth pillar — request-scoped serving telemetry (request_context.h,
-/// windowed_histogram.h, tail_sampler.h) — gives the cohort serving plane
+/// Request-scoped serving telemetry (request_context.h,
+/// windowed_histogram.h, tail_sampler.h) gives the cohort serving plane
 /// per-request trace ids threaded into the flight recorder, rolling
 /// 10s/1m/5m latency windows (p50/p95/p99, QPS, error rate) on /metrics
 /// and /statusz, and a bounded ring of slow-request phase breakdowns on
@@ -51,7 +50,6 @@
 /// "Observability".
 
 #include "obs/bench_report.h"
-#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
@@ -64,7 +62,6 @@
 #include "obs/run_manifest.h"
 #include "obs/stats_server.h"
 #include "obs/tail_sampler.h"
-#include "obs/trace.h"
 #include "obs/windowed_histogram.h"
 #include "util/status.h"
 

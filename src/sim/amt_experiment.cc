@@ -73,8 +73,6 @@ util::StatusOr<AmtPopulationResult> RunAmtPopulation(
     return util::Status::InvalidArgument("num_rounds must be >= 1");
   }
 
-  TDG_TRACE_SPAN("amt/population");
-
   AmtPopulationResult result;
   result.policy_name = std::string(policy.name());
   result.initial_size = static_cast<int>(workers.size());
@@ -91,7 +89,6 @@ util::StatusOr<AmtPopulationResult> RunAmtPopulation(
   RetentionModel retention(config.retention);
 
   for (int round = 1; round <= config.num_rounds; ++round) {
-    TDG_TRACE_SPAN("amt/round");
     // Active roster.
     std::vector<SimulatedWorker*> roster;
     for (auto& w : workers) {
@@ -194,8 +191,6 @@ util::StatusOr<ExperimentResult> RunExperiment(
         "%d workers cannot be split into %d equal populations",
         config.total_workers, num_populations));
   }
-
-  TDG_TRACE_SPAN("amt/experiment");
 
   random::Rng rng(config.seed);
   PopulationParams population_params = config.population;

@@ -3,7 +3,7 @@
 // and drop accounting, torn-record tolerance, restart-onto-the-same-path
 // safety, and the end-to-end crash contract — a child shard killed by the
 // fault hook must leave a decodable black box whose cell events match the
-// checkpoint it wrote.
+// checkpoint it wrote — plus the unsharded sweep's cell boundary records.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +13,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/sweep.h"
 #include "exp/sweep_shard.h"
 #include "obs/flight_recorder.h"
 #include "sweep_shard_test_util.h"
@@ -441,6 +443,65 @@ TEST(FlightRecorderCrashTest, KilledShardLeavesDecodableBlackbox) {
   EXPECT_EQ(static_cast<int>(clean_cell_ends.size()),
             CheckpointCellCount(checkpoint2));
 #endif  // TDG_OBS_DISABLED
+}
+
+// The unsharded exp::RunSweep marks cell boundaries exactly like
+// RunSweepShard: one sweep_cell_start (cell_index, n, num_groups,
+// num_rounds) and one sweep_cell_end (cell_index, mean_gain, runs) per grid
+// cell, so `tdg_blackbox --trace` renders every sweep as per-cell slices.
+TEST(FlightRecorderSweepTest, UnshardedSweepRecordsOneCellPairPerCell) {
+  const std::string path = MakeScratchDir() + "/sweep.blackbox";
+  const exp::SweepConfig config = TinyConfig(/*threads=*/2);
+  FlightRecorder& recorder = FlightRecorder::Global();
+  ASSERT_TRUE(
+      recorder.Start(SmallOptions(path, /*ring_bytes=*/64 * 1024)).ok());
+  auto result = exp::RunSweep(config);
+  recorder.Stop();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  auto dump = ReadBlackbox(path);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_EQ(dump->dropped, 0u);
+  EXPECT_EQ(dump->overwritten, 0u);
+
+  const long long num_cells = static_cast<long long>(result->cells.size());
+  std::map<long long, int> starts;
+  std::map<long long, int> ends;
+  std::map<long long, std::int64_t> start_ts;
+  for (const BlackboxEvent& event : dump->events) {
+    const long long cell = static_cast<long long>(event.values[0]);
+    if (event.type == BlackboxEventType::kSweepCellStart) {
+      ASSERT_GE(cell, 0);
+      ASSERT_LT(cell, num_cells);
+      const exp::SweepPoint& point = result->cells[cell].point;
+      EXPECT_EQ(event.values[1], point.n);
+      EXPECT_EQ(event.values[2], point.k);
+      EXPECT_EQ(event.values[3], point.alpha);
+      ++starts[cell];
+      start_ts[cell] = event.ts_micros;
+    } else if (event.type == BlackboxEventType::kSweepCellEnd) {
+      ASSERT_GE(cell, 0);
+      ASSERT_LT(cell, num_cells);
+      EXPECT_EQ(event.values[1], result->cells[cell].mean_gain);
+      EXPECT_EQ(event.values[2], result->cells[cell].runs);
+      ++ends[cell];
+      ASSERT_EQ(starts[cell], 1) << "cell " << cell << " ended unstarted";
+      EXPECT_LE(start_ts[cell], event.ts_micros);
+    }
+  }
+
+#if defined(TDG_OBS_DISABLED)
+  // TDG_BLACKBOX sites compile out; only the explicit API records.
+  EXPECT_TRUE(starts.empty());
+  EXPECT_TRUE(ends.empty());
+#else
+  ASSERT_EQ(static_cast<long long>(starts.size()), num_cells);
+  ASSERT_EQ(static_cast<long long>(ends.size()), num_cells);
+  for (long long cell = 0; cell < num_cells; ++cell) {
+    EXPECT_EQ(starts[cell], 1) << "cell " << cell;
+    EXPECT_EQ(ends[cell], 1) << "cell " << cell;
+  }
+#endif
 }
 
 }  // namespace

@@ -68,6 +68,17 @@ bool Eventually(Predicate pred, int timeout_ms = 10000) {
   return true;
 }
 
+// The per-endpoint serve/latency/* histograms and serve/responses/*
+// counters are instrumentation: cohort_server.cc compiles them out under
+// TDG_OBS_DISABLED, where they must stay at their before-values. The
+// windowed serve/latency_seconds/* families are product surface and rise
+// in both builds.
+#if defined(TDG_OBS_DISABLED)
+constexpr int64_t kInstrumented = 0;
+#else
+constexpr int64_t kInstrumented = 1;
+#endif
+
 class ServeTelemetryTest : public testing::Test {
  protected:
   void StartServer(CohortServer::Options options = {}) {
@@ -104,15 +115,19 @@ TEST_F(ServeTelemetryTest, SuccessfulRequestsRecordLatencyAndResponseClass) {
   }
 
   EXPECT_TRUE(Eventually([&] {
-    return HistogramCount("serve/latency/healthz") == hist_before + 3 &&
+    return HistogramCount("serve/latency/healthz") ==
+               hist_before + 3 * kInstrumented &&
            WindowedCount("serve/latency_seconds/healthz") ==
                windowed_before + 3 &&
-           CounterValue("serve/responses/2xx") == ok_before + 3;
+           CounterValue("serve/responses/2xx") ==
+               ok_before + 3 * kInstrumented;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/healthz"), hist_before + 3);
+  EXPECT_EQ(HistogramCount("serve/latency/healthz"),
+            hist_before + 3 * kInstrumented);
   EXPECT_EQ(WindowedCount("serve/latency_seconds/healthz"),
             windowed_before + 3);
-  EXPECT_EQ(CounterValue("serve/responses/2xx"), ok_before + 3);
+  EXPECT_EQ(CounterValue("serve/responses/2xx"),
+            ok_before + 3 * kInstrumented);
 }
 
 TEST_F(ServeTelemetryTest, ErrorResponsesAreRecordedNotDropped) {
@@ -122,6 +137,8 @@ TEST_F(ServeTelemetryTest, ErrorResponsesAreRecordedNotDropped) {
   const int64_t err4_before = CounterValue("serve/responses/4xx");
   const int64_t win_cohort_before =
       WindowedCount("serve/latency_seconds/cohort");
+  const int64_t win_other_before =
+      WindowedCount("serve/latency_seconds/other");
 
   // 404 on a routed endpoint (unknown cohort) and on an unknown path.
   auto missing = util::net::HttpGet(port(), "/cohorts/no-such-cohort");
@@ -132,13 +149,25 @@ TEST_F(ServeTelemetryTest, ErrorResponsesAreRecordedNotDropped) {
   EXPECT_EQ(*util::net::HttpStatusCode(*unknown), 404);
 
   EXPECT_TRUE(Eventually([&] {
-    return HistogramCount("serve/latency/cohort") == cohort_before + 1 &&
-           HistogramCount("serve/latency/other") == other_before + 1 &&
-           CounterValue("serve/responses/4xx") == err4_before + 2;
+    return HistogramCount("serve/latency/cohort") ==
+               cohort_before + kInstrumented &&
+           HistogramCount("serve/latency/other") ==
+               other_before + kInstrumented &&
+           CounterValue("serve/responses/4xx") ==
+               err4_before + 2 * kInstrumented &&
+           WindowedCount("serve/latency_seconds/cohort") ==
+               win_cohort_before + 1 &&
+           WindowedCount("serve/latency_seconds/other") ==
+               win_other_before + 1;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/cohort"), cohort_before + 1);
-  EXPECT_EQ(HistogramCount("serve/latency/other"), other_before + 1);
-  EXPECT_EQ(CounterValue("serve/responses/4xx"), err4_before + 2);
+  EXPECT_EQ(HistogramCount("serve/latency/cohort"),
+            cohort_before + kInstrumented);
+  EXPECT_EQ(HistogramCount("serve/latency/other"),
+            other_before + kInstrumented);
+  EXPECT_EQ(CounterValue("serve/responses/4xx"),
+            err4_before + 2 * kInstrumented);
+  EXPECT_EQ(WindowedCount("serve/latency_seconds/other"),
+            win_other_before + 1);
   // The windowed histogram marks them as errors.
   EXPECT_EQ(WindowedCount("serve/latency_seconds/cohort"),
             win_cohort_before + 1);
@@ -175,14 +204,17 @@ TEST_F(ServeTelemetryTest, LimitRejectedRequestsStillHitTheHistograms) {
 
   EXPECT_TRUE(Eventually([&] {
     return HistogramCount("serve/latency/unreadable") ==
-               unreadable_before + 1 &&
+               unreadable_before + kInstrumented &&
            WindowedCount("serve/latency_seconds/unreadable") ==
                win_before + 1 &&
-           CounterValue("serve/responses/4xx") == err4_before + 1;
+           CounterValue("serve/responses/4xx") ==
+               err4_before + kInstrumented;
   }));
-  EXPECT_EQ(HistogramCount("serve/latency/unreadable"), unreadable_before + 1);
+  EXPECT_EQ(HistogramCount("serve/latency/unreadable"),
+            unreadable_before + kInstrumented);
   EXPECT_EQ(WindowedCount("serve/latency_seconds/unreadable"), win_before + 1);
-  EXPECT_EQ(CounterValue("serve/responses/4xx"), err4_before + 1);
+  EXPECT_EQ(CounterValue("serve/responses/4xx"),
+            err4_before + kInstrumented);
 }
 
 TEST_F(ServeTelemetryTest, MetricsExportRollingQuantilesPerEndpoint) {
