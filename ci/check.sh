@@ -56,7 +56,8 @@
 #            `tdg_blackbox --trace` into one B/E slice pair per cell
 #   serve    cohort-serving e2e (DESIGN.md §13): run the serving-plane
 #            suites (cohort state machine, churn property battery, HTTP
-#            request fuzz, journal replay, concurrency soak) under asan and
+#            request fuzz, journal replay, concurrency soak) plus the JSON
+#            plane and the sized-grouping differential tests under asan and
 #            tsan, then a CLI e2e: start tdg_serve with a state dir, enroll
 #            and churn a cohort over HTTP, `kill -9` the server mid-course,
 #            restart it, require zero lost rounds, finish the schedule, and
@@ -607,7 +608,7 @@ run_serve() {
   # The serving plane's whole battery runs under both sanitizers: asan for
   # the parser/journal memory story, tsan for the worker pool + per-cohort
   # locks + concurrent scrapes.
-  local filter='Serve|HttpRequest|Net|StatsServer'
+  local filter='Serve|HttpRequest|Net|StatsServer|Json|ParserFuzz|VariableGroups|SizedClique'
   local asan_dir="build-ci/serve"
   echo "==> [serve] configure (asan)"
   cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -85,32 +85,22 @@ StatusOr<Schedule> LoadSchedule(const std::string& path) {
   TDG_ASSIGN_OR_RETURN(std::string text, tdg::util::ReadFileToString(path));
   TDG_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(text));
   Schedule schedule;
-  TDG_ASSIGN_OR_RETURN(JsonValue id, json.GetField("id"));
-  if (!id.is_string()) {
+  TDG_ASSIGN_OR_RETURN(const JsonValue* id, json.GetField("id"));
+  if (!id->is_string()) {
     return Status::InvalidArgument("schedule 'id' must be a string");
   }
-  schedule.id = id.AsString();
-  TDG_ASSIGN_OR_RETURN(JsonValue config, json.GetField("config"));
-  TDG_ASSIGN_OR_RETURN(schedule.config, CohortConfig::FromJson(config));
-  TDG_ASSIGN_OR_RETURN(JsonValue participants,
+  schedule.id = id->AsString();
+  TDG_ASSIGN_OR_RETURN(const JsonValue* config, json.GetField("config"));
+  TDG_ASSIGN_OR_RETURN(schedule.config, CohortConfig::FromJson(*config));
+  TDG_ASSIGN_OR_RETURN(const JsonValue* participants,
                        json.GetField("participants"));
-  if (!participants.is_array()) {
-    return Status::InvalidArgument("schedule 'participants' must be an array");
-  }
-  for (const JsonValue& entry : participants.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return Status::InvalidArgument(
-          "participants need a string 'key' and a number 'skill'");
-    }
-    schedule.participants.push_back({key.AsString(), skill.AsNumber()});
-  }
-  TDG_ASSIGN_OR_RETURN(JsonValue ops, json.GetField("ops"));
-  if (!ops.is_array()) {
+  TDG_ASSIGN_OR_RETURN(schedule.participants,
+                       tdg::serve::ParticipantsFromJson(*participants));
+  TDG_ASSIGN_OR_RETURN(const JsonValue* ops, json.GetField("ops"));
+  if (!ops->is_array()) {
     return Status::InvalidArgument("schedule 'ops' must be an array");
   }
-  schedule.ops = ops.AsArray();
+  schedule.ops = ops->AsArray();
   return schedule;
 }
 
@@ -123,26 +113,26 @@ struct Op {
 
 StatusOr<Op> ParseOp(const JsonValue& json) {
   Op op;
-  TDG_ASSIGN_OR_RETURN(JsonValue name, json.GetField("op"));
-  if (!name.is_string()) {
+  TDG_ASSIGN_OR_RETURN(const JsonValue* name, json.GetField("op"));
+  if (!name->is_string()) {
     return Status::InvalidArgument("op entries need a string 'op'");
   }
-  op.op = name.AsString();
+  op.op = name->AsString();
   if (op.op == "advance") return op;
-  TDG_ASSIGN_OR_RETURN(JsonValue key, json.GetField("key"));
-  if (!key.is_string()) {
+  TDG_ASSIGN_OR_RETURN(const JsonValue* key, json.GetField("key"));
+  if (!key->is_string()) {
     return Status::InvalidArgument("join/leave ops need a string 'key'");
   }
-  op.key = key.AsString();
+  op.key = key->AsString();
   if (op.op == "leave") return op;
   if (op.op != "join") {
     return Status::InvalidArgument("unknown op '" + op.op + "'");
   }
-  TDG_ASSIGN_OR_RETURN(JsonValue skill, json.GetField("skill"));
-  if (!skill.is_number()) {
+  TDG_ASSIGN_OR_RETURN(const JsonValue* skill, json.GetField("skill"));
+  if (!skill->is_number()) {
     return Status::InvalidArgument("join ops need a number 'skill'");
   }
-  op.skill = skill.AsNumber();
+  op.skill = skill->AsNumber();
   return op;
 }
 
@@ -191,14 +181,8 @@ int Run(const tdg::util::FlagParser& flags) {
     JsonValue enroll = JsonValue::MakeObject();
     enroll.Set("id", schedule->id);
     enroll.Set("config", schedule->config.ToJson());
-    JsonValue participants = JsonValue::MakeArray();
-    for (const CohortParticipant& participant : schedule->participants) {
-      JsonValue entry = JsonValue::MakeObject();
-      entry.Set("key", participant.key);
-      entry.Set("skill", participant.skill);
-      participants.Append(std::move(entry));
-    }
-    enroll.Set("participants", std::move(participants));
+    enroll.Set("participants",
+               tdg::serve::ParticipantsToJson(schedule->participants));
     Status enrolled = Post(port, "/cohorts", enroll);
     if (!enrolled.ok()) return Fail(enrolled);
   }
@@ -233,10 +217,10 @@ int Dump(const tdg::util::FlagParser& flags) {
   auto summary = GetJson(port, "/cohorts/" + id);
   if (!summary.ok()) return Fail(summary.status());
   auto rounds = summary->GetField("rounds");
-  if (!rounds.ok() || !rounds->is_number()) {
+  if (!rounds.ok() || !(*rounds)->is_number()) {
     return Fail(Status::Internal("summary has no 'rounds'"));
   }
-  const int total = static_cast<int>(rounds->AsNumber());
+  const int total = static_cast<int>((*rounds)->AsNumber());
   for (int t = 0; t < total; ++t) {
     auto round = GetJson(
         port, tdg::util::StrFormat("/cohorts/%s/rounds/%d", id.c_str(), t));
@@ -255,9 +239,9 @@ int Stats(const tdg::util::FlagParser& flags) {
   auto headline = [&](const char* field) -> std::string {
     auto value = statusz->GetField(field);
     if (!value.ok()) return "?";
-    return value->is_number()
-               ? tdg::util::FormatDouble(value->AsNumber(), 2)
-               : value->Serialize();
+    return (*value)->is_number()
+               ? tdg::util::FormatDouble((*value)->AsNumber(), 2)
+               : (*value)->Serialize();
   };
   std::printf("cohorts=%s participants=%s requests_served=%s "
               "uptime_seconds=%s\n",
@@ -267,7 +251,7 @@ int Stats(const tdg::util::FlagParser& flags) {
               headline("uptime_seconds").c_str());
 
   auto windows = statusz->GetField("windows");
-  if (!windows.ok() || !windows->is_object()) {
+  if (!windows.ok() || !(*windows)->is_object()) {
     return Fail(Status::Internal(
         "/statusz has no 'windows' (server predates windowed telemetry?)"));
   }
@@ -276,9 +260,9 @@ int Stats(const tdg::util::FlagParser& flags) {
                                  "p99_ms"});
   auto number = [](const JsonValue& entry, const char* field) {
     auto value = entry.GetField(field);
-    return value.ok() && value->is_number() ? value->AsNumber() : 0.0;
+    return value.ok() && (*value)->is_number() ? (*value)->AsNumber() : 0.0;
   };
-  for (const auto& [endpoint, per_window] : windows->AsObject()) {
+  for (const auto& [endpoint, per_window] : (*windows)->AsObject()) {
     if (!per_window.is_object()) continue;
     for (const auto& [label, entry] : per_window.AsObject()) {
       if (!entry.is_object()) continue;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/policy.h"
+#include "core/variable_groups.h"
 #include "obs/obs.h"
 #include "obs/perf_profile.h"
 #include "util/logging.h"
@@ -81,6 +82,40 @@ util::StatusOr<Grouping> DyGroupsCliqueLocal(const SkillVector& skills,
     for (int g = 0; g < num_groups; ++g) {
       grouping.groups[g].push_back(sorted[next++]);
     }
+  }
+  return grouping;
+}
+
+util::StatusOr<Grouping> DyGroupsCliqueLocalSized(
+    const SkillVector& skills, const std::vector<int>& sizes) {
+  TDG_RETURN_IF_ERROR(ValidateSkills(skills));
+  TDG_RETURN_IF_ERROR(
+      ValidateSizeProfile(sizes, static_cast<int>(skills.size())));
+  int num_groups = static_cast<int>(sizes.size());
+  int n = static_cast<int>(skills.size());
+  std::vector<int> sorted = SortedByskillDescending(skills);
+
+  Grouping grouping;
+  grouping.groups.resize(num_groups);
+  for (int g = 0; g < num_groups; ++g) grouping.groups[g].reserve(sizes[g]);
+  // Each rank goes to the open group with the largest deficit
+  // sizes[g] * (rank + 1) / n - fill; the strict > keeps the lowest index
+  // among equal deficits.
+  for (int rank = 0; rank < n; ++rank) {
+    int best_group = -1;
+    double best_deficit = -1e300;
+    for (int g = 0; g < num_groups; ++g) {
+      if (static_cast<int>(grouping.groups[g].size()) >= sizes[g]) continue;
+      double quota = static_cast<double>(sizes[g]) * (rank + 1) /
+                     static_cast<double>(n);
+      double deficit =
+          quota - static_cast<double>(grouping.groups[g].size());
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best_group = g;
+      }
+    }
+    grouping.groups[best_group].push_back(sorted[rank]);
   }
   return grouping;
 }

@@ -39,6 +39,12 @@ util::StatusOr<Grouping> DyGroupsStarLocal(const SkillVector& skills,
 util::StatusOr<Grouping> DyGroupsCliqueLocal(const SkillVector& skills,
                                              int num_groups);
 
+/// §VII sized Algorithm 3 as the O(n·k) scan: every rank goes to the open
+/// group with the largest proportional-quota deficit, lowest index first on
+/// ties. The oracle for tdg::DyGroupsCliqueLocalSized's size-class deal.
+util::StatusOr<Grouping> DyGroupsCliqueLocalSized(
+    const SkillVector& skills, const std::vector<int>& sizes);
+
 /// One learning round over `grouping`: per-group vector<pair> sort, virtual
 /// gain calls, in-place update. Returns LG(G_t).
 util::StatusOr<double> ApplyRound(InteractionMode mode,

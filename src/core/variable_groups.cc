@@ -105,24 +105,55 @@ util::StatusOr<Grouping> DyGroupsCliqueLocalSized(
   // proportional quota (largest remaining deficit of t_g * r / n), which
   // reduces to round-robin for equal sizes and keeps each group a
   // proportional skill cross-section for any profile.
+  //
+  // Groups of one size share a quota, so among them the largest deficit is
+  // the smallest fill at the lowest index: each size class deals its ranks
+  // round-robin in index order, and a rank only compares one candidate per
+  // distinct size — O(n·D) instead of scanning all k groups per rank. Equal
+  // deficits go to the lower group index, as a strict-> scan in index order
+  // would (tdg::reference::DyGroupsCliqueLocalSized is that scan).
+  struct SizeClass {
+    int size = 0;
+    std::vector<int> groups;  // ascending index
+    int dealt = 0;            // ranks dealt to the class so far
+  };
+  std::vector<int> by_size(num_groups);
+  std::iota(by_size.begin(), by_size.end(), 0);
+  std::stable_sort(by_size.begin(), by_size.end(), [&sizes](int a, int b) {
+    return sizes[a] < sizes[b];
+  });
+  std::vector<SizeClass> classes;
+  for (int g : by_size) {
+    if (classes.empty() || classes.back().size != sizes[g]) {
+      classes.push_back({sizes[g], {}, 0});
+    }
+    classes.back().groups.push_back(g);
+  }
+
   Grouping grouping;
   grouping.groups.resize(num_groups);
   for (int g = 0; g < num_groups; ++g) grouping.groups[g].reserve(sizes[g]);
   for (int rank = 0; rank < n; ++rank) {
+    SizeClass* best_class = nullptr;
     int best_group = -1;
     double best_deficit = -1e300;
-    for (int g = 0; g < num_groups; ++g) {
-      if (static_cast<int>(grouping.groups[g].size()) >= sizes[g]) continue;
-      double quota = static_cast<double>(sizes[g]) * (rank + 1) /
+    for (SizeClass& size_class : classes) {
+      const int members = static_cast<int>(size_class.groups.size());
+      const int fill = size_class.dealt / members;
+      if (fill >= size_class.size) continue;  // every group of the class full
+      const int g = size_class.groups[size_class.dealt % members];
+      double quota = static_cast<double>(size_class.size) * (rank + 1) /
                      static_cast<double>(n);
-      double deficit =
-          quota - static_cast<double>(grouping.groups[g].size());
-      if (deficit > best_deficit) {
+      double deficit = quota - static_cast<double>(fill);
+      if (deficit > best_deficit ||
+          (deficit == best_deficit && g < best_group)) {
         best_deficit = deficit;
         best_group = g;
+        best_class = &size_class;
       }
     }
     grouping.groups[best_group].push_back(sorted[rank]);
+    ++best_class->dealt;
   }
   return grouping;
 }

@@ -25,9 +25,12 @@ util::Status ValidateSizeProfile(const std::vector<int>& sizes, int n);
 util::StatusOr<Grouping> DyGroupsStarLocalSized(const SkillVector& skills,
                                                 const std::vector<int>& sizes);
 
-/// DyGroups-Clique-Local for a size profile: members are dealt round-robin
-/// in descending-skill order, skipping groups that are already full — the
-/// natural generalization of Algorithm 3's dominance construction.
+/// DyGroups-Clique-Local for a size profile: members are dealt in
+/// descending-skill order, each to the open group with the largest
+/// proportional-quota deficit sizes[g]·(rank+1)/n − fill (lowest index on
+/// ties) — round-robin on an all-equal profile, the natural generalization
+/// of Algorithm 3's dominance construction. O(n·D) after the sort, D the
+/// number of distinct sizes.
 util::StatusOr<Grouping> DyGroupsCliqueLocalSized(
     const SkillVector& skills, const std::vector<int>& sizes);
 

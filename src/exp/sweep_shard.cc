@@ -71,8 +71,8 @@ void MaybeCrashAfterCells(int completed_this_run) {
 }
 #endif
 
-util::StatusOr<util::JsonValue> RequireField(const util::JsonValue& object,
-                                             const char* key) {
+util::StatusOr<const util::JsonValue*> RequireField(
+    const util::JsonValue& object, const char* key) {
   auto field = object.GetField(key);
   if (!field.ok()) {
     return util::Status::InvalidArgument(
@@ -83,22 +83,24 @@ util::StatusOr<util::JsonValue> RequireField(const util::JsonValue& object,
 
 util::StatusOr<double> RequireNumber(const util::JsonValue& object,
                                      const char* key) {
-  TDG_ASSIGN_OR_RETURN(util::JsonValue field, RequireField(object, key));
-  if (!field.is_number()) {
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* field,
+                       RequireField(object, key));
+  if (!field->is_number()) {
     return util::Status::InvalidArgument(
         util::StrFormat("checkpoint field \"%s\" must be a number", key));
   }
-  return field.AsNumber();
+  return field->AsNumber();
 }
 
 util::StatusOr<std::string> RequireString(const util::JsonValue& object,
                                           const char* key) {
-  TDG_ASSIGN_OR_RETURN(util::JsonValue field, RequireField(object, key));
-  if (!field.is_string()) {
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* field,
+                       RequireField(object, key));
+  if (!field->is_string()) {
     return util::Status::InvalidArgument(
         util::StrFormat("checkpoint field \"%s\" must be a string", key));
   }
-  return field.AsString();
+  return field->AsString();
 }
 
 // Seeds are 64-bit and may exceed a double's 53-bit mantissa, so they are
@@ -209,13 +211,13 @@ util::StatusOr<SweepCheckpointCell> ParseCell(const util::JsonValue& json,
   TDG_ASSIGN_OR_RETURN(record.point_seed, RequireSeed(json, "point_seed"));
   TDG_ASSIGN_OR_RETURN(record.policy_seed,
                        RequireSeed(json, "policy_seed"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue gains,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* gains,
                        RequireField(json, "run_gains"));
-  if (!gains.is_array()) {
+  if (!gains->is_array()) {
     return util::Status::InvalidArgument(
         "checkpoint field \"run_gains\" must be an array");
   }
-  for (const util::JsonValue& gain : gains.AsArray()) {
+  for (const util::JsonValue& gain : gains->AsArray()) {
     if (!gain.is_number()) {
       return util::Status::InvalidArgument(
           "checkpoint field \"run_gains\" must contain numbers");

@@ -46,12 +46,13 @@ util::JsonValue GroupingToJson(const Grouping& grouping) {
 }
 
 util::StatusOr<Grouping> GroupingFromJson(const util::JsonValue& json) {
-  TDG_ASSIGN_OR_RETURN(util::JsonValue groups_json, json.GetField("groups"));
-  if (!groups_json.is_array()) {
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* groups_json,
+                       json.GetField("groups"));
+  if (!groups_json->is_array()) {
     return util::Status::InvalidArgument("'groups' must be an array");
   }
   Grouping grouping;
-  for (const util::JsonValue& group_json : groups_json.AsArray()) {
+  for (const util::JsonValue& group_json : groups_json->AsArray()) {
     if (!group_json.is_array()) {
       return util::Status::InvalidArgument("each group must be an array");
     }
@@ -86,19 +87,19 @@ util::JsonValue GroupingToFlatJson(const Grouping& grouping) {
 }
 
 util::StatusOr<Grouping> GroupingFromFlatJson(const util::JsonValue& json) {
-  TDG_ASSIGN_OR_RETURN(util::JsonValue assignment_json,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* assignment_json,
                        json.GetField("assignment"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue num_groups_json,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* num_groups_json,
                        json.GetField("num_groups"));
-  if (!assignment_json.is_array()) {
+  if (!assignment_json->is_array()) {
     return util::Status::InvalidArgument(
         "flat grouping needs an 'assignment' array");
   }
   TDG_ASSIGN_OR_RETURN(int num_groups,
-                       util::JsonToInt(num_groups_json, "num_groups"));
+                       util::JsonToInt(*num_groups_json, "num_groups"));
   std::vector<int> assignment;
-  assignment.reserve(assignment_json.AsArray().size());
-  for (const util::JsonValue& entry : assignment_json.AsArray()) {
+  assignment.reserve(assignment_json->AsArray().size());
+  for (const util::JsonValue& entry : assignment_json->AsArray()) {
     TDG_ASSIGN_OR_RETURN(int group,
                          util::JsonToInt(entry, "assignment entry"));
     assignment.push_back(group);
@@ -127,38 +128,41 @@ util::JsonValue ProcessResultToJson(const ProcessResult& result) {
 util::StatusOr<ProcessResult> ProcessResultFromJson(
     const util::JsonValue& json) {
   ProcessResult result;
-  TDG_ASSIGN_OR_RETURN(util::JsonValue initial,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* initial,
                        json.GetField("initial_skills"));
-  TDG_ASSIGN_OR_RETURN(result.initial_skills, DoubleVectorFromJson(initial));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue final_json,
+  TDG_ASSIGN_OR_RETURN(result.initial_skills, DoubleVectorFromJson(*initial));
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* final_json,
                        json.GetField("final_skills"));
   TDG_ASSIGN_OR_RETURN(result.final_skills,
-                       DoubleVectorFromJson(final_json));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue gains, json.GetField("round_gains"));
-  TDG_ASSIGN_OR_RETURN(result.round_gains, DoubleVectorFromJson(gains));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue total, json.GetField("total_gain"));
-  if (!total.is_number()) {
+                       DoubleVectorFromJson(*final_json));
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* gains,
+                       json.GetField("round_gains"));
+  TDG_ASSIGN_OR_RETURN(result.round_gains, DoubleVectorFromJson(*gains));
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* total,
+                       json.GetField("total_gain"));
+  if (!total->is_number()) {
     return util::Status::InvalidArgument("'total_gain' must be a number");
   }
-  result.total_gain = total.AsNumber();
+  result.total_gain = total->AsNumber();
 
-  TDG_ASSIGN_OR_RETURN(util::JsonValue history, json.GetField("history"));
-  if (!history.is_array()) {
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* history,
+                       json.GetField("history"));
+  if (!history->is_array()) {
     return util::Status::InvalidArgument("'history' must be an array");
   }
-  for (const util::JsonValue& entry : history.AsArray()) {
+  for (const util::JsonValue& entry : history->AsArray()) {
     RoundRecord record;
-    TDG_ASSIGN_OR_RETURN(util::JsonValue grouping_json,
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* grouping_json,
                          entry.GetField("grouping"));
-    TDG_ASSIGN_OR_RETURN(record.grouping, GroupingFromJson(grouping_json));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue gain, entry.GetField("gain"));
-    if (!gain.is_number()) {
+    TDG_ASSIGN_OR_RETURN(record.grouping, GroupingFromJson(*grouping_json));
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* gain, entry.GetField("gain"));
+    if (!gain->is_number()) {
       return util::Status::InvalidArgument("round 'gain' must be a number");
     }
-    record.gain = gain.AsNumber();
-    TDG_ASSIGN_OR_RETURN(util::JsonValue after,
+    record.gain = gain->AsNumber();
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* after,
                          entry.GetField("skills_after"));
-    TDG_ASSIGN_OR_RETURN(record.skills_after, DoubleVectorFromJson(after));
+    TDG_ASSIGN_OR_RETURN(record.skills_after, DoubleVectorFromJson(*after));
     result.history.push_back(std::move(record));
   }
   return result;

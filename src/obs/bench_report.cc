@@ -68,50 +68,53 @@ util::StatusOr<BenchReport> BenchReport::FromJson(
     return util::Status::InvalidArgument("bench report must be an object");
   }
   auto schema = json.GetField("schema");
-  if (!schema.ok() || !schema->is_string() ||
-      (schema->AsString() != kSchema && schema->AsString() != kSchemaV1)) {
+  if (!schema.ok() || !(*schema)->is_string() ||
+      ((*schema)->AsString() != kSchema &&
+       (*schema)->AsString() != kSchemaV1)) {
     return util::Status::InvalidArgument(
         "bench report missing or unsupported \"schema\" (want " +
         std::string(kSchema) + " or " + std::string(kSchemaV1) + ")");
   }
   BenchReport report;
-  report.schema = schema->AsString();
+  report.schema = (*schema)->AsString();
   auto bench = json.GetField("bench");
-  if (bench.ok() && bench->is_string()) report.bench_name = bench->AsString();
+  if (bench.ok() && (*bench)->is_string()) {
+    report.bench_name = (*bench)->AsString();
+  }
   auto backend = json.GetField("perf_backend");
-  if (backend.ok() && backend->is_string()) {
-    report.perf_backend = backend->AsString();
+  if (backend.ok() && (*backend)->is_string()) {
+    report.perf_backend = (*backend)->AsString();
   }
   auto manifest = json.GetField("manifest");
   if (!manifest.ok()) {
     return util::Status::InvalidArgument("bench report missing \"manifest\"");
   }
-  auto parsed_manifest = RunManifest::FromJson(manifest.value());
+  auto parsed_manifest = RunManifest::FromJson(**manifest);
   if (!parsed_manifest.ok()) return parsed_manifest.status();
   report.manifest = std::move(parsed_manifest).value();
   auto cases = json.GetField("cases");
-  if (!cases.ok() || !cases->is_array()) {
+  if (!cases.ok() || !(*cases)->is_array()) {
     return util::Status::InvalidArgument(
         "bench report missing \"cases\" array");
   }
-  for (const util::JsonValue& entry : cases->AsArray()) {
+  for (const util::JsonValue& entry : (*cases)->AsArray()) {
     if (!entry.is_object()) {
       return util::Status::InvalidArgument("bench case must be an object");
     }
     BenchCase bench_case;
     auto key = entry.GetField("key");
-    if (!key.ok() || !key->is_string()) {
+    if (!key.ok() || !(*key)->is_string()) {
       return util::Status::InvalidArgument("bench case missing \"key\"");
     }
-    bench_case.key = key->AsString();
+    bench_case.key = (*key)->AsString();
     auto read_array = [&entry](std::string_view field,
                                std::vector<double>& out) -> util::Status {
       auto array = entry.GetField(field);
-      if (!array.ok() || !array->is_array()) {
+      if (!array.ok() || !(*array)->is_array()) {
         return util::Status::InvalidArgument(
             "bench case missing \"" + std::string(field) + "\" array");
       }
-      for (const util::JsonValue& v : array->AsArray()) {
+      for (const util::JsonValue& v : (*array)->AsArray()) {
         if (!v.is_number()) {
           return util::Status::InvalidArgument(
               "bench case \"" + std::string(field) + "\" must be numeric");
@@ -123,8 +126,8 @@ util::StatusOr<BenchReport> BenchReport::FromJson(
     TDG_RETURN_IF_ERROR(read_array("wall_micros", bench_case.wall_micros));
     TDG_RETURN_IF_ERROR(read_array("objective", bench_case.objective));
     auto counters = entry.GetField("counters");
-    if (counters.ok() && counters->is_object()) {
-      for (const auto& [name, value] : counters->AsObject()) {
+    if (counters.ok() && (*counters)->is_object()) {
+      for (const auto& [name, value] : (*counters)->AsObject()) {
         if (!value.is_number()) {
           return util::Status::InvalidArgument(
               "bench case counter \"" + name + "\" must be numeric");
@@ -133,8 +136,8 @@ util::StatusOr<BenchReport> BenchReport::FromJson(
       }
     }
     auto series = entry.GetField("counter_series");
-    if (series.ok() && series->is_object()) {
-      for (const auto& [name, values] : series->AsObject()) {
+    if (series.ok() && (*series)->is_object()) {
+      for (const auto& [name, values] : (*series)->AsObject()) {
         if (!values.is_array()) {
           return util::Status::InvalidArgument(
               "bench case counter series \"" + name + "\" must be an array");

@@ -13,12 +13,12 @@ namespace {
 util::StatusOr<double> RequireNumber(const util::JsonValue& json,
                                      const char* key) {
   auto field = json.GetField(key);
-  if (!field.ok() || !field->is_number()) {
+  if (!field.ok() || !(*field)->is_number()) {
     return util::Status::InvalidArgument(
         util::StrFormat("heartbeat field \"%s\" missing or not a number",
                         key));
   }
-  return field->AsNumber();
+  return (*field)->AsNumber();
 }
 
 }  // namespace
@@ -50,16 +50,16 @@ util::StatusOr<Heartbeat> Heartbeat::FromJson(const util::JsonValue& json) {
     return util::Status::InvalidArgument("heartbeat must be a JSON object");
   }
   auto schema = json.GetField("schema");
-  if (!schema.ok() || !schema->is_string()) {
+  if (!schema.ok() || !(*schema)->is_string()) {
     return util::Status::InvalidArgument("heartbeat missing \"schema\"");
   }
-  if (schema->AsString() != kHeartbeatSchema) {
+  if ((*schema)->AsString() != kHeartbeatSchema) {
     return util::Status::InvalidArgument("unsupported heartbeat schema: " +
-                                         schema->AsString());
+                                         (*schema)->AsString());
   }
   Heartbeat heartbeat;
   auto name = json.GetField("name");
-  if (name.ok() && name->is_string()) heartbeat.name = name->AsString();
+  if (name.ok() && (*name)->is_string()) heartbeat.name = (*name)->AsString();
   TDG_ASSIGN_OR_RETURN(double shard_index,
                        RequireNumber(json, "shard_index"));
   TDG_ASSIGN_OR_RETURN(double shard_count,

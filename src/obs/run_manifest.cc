@@ -89,18 +89,18 @@ std::string UtcNow() {
 void ReadString(const util::JsonValue& json, std::string_view key,
                 std::string& out) {
   auto field = json.GetField(key);
-  if (field.ok() && field->is_string()) out = field->AsString();
+  if (field.ok() && (*field)->is_string()) out = (*field)->AsString();
 }
 
 void ReadBool(const util::JsonValue& json, std::string_view key, bool& out) {
   auto field = json.GetField(key);
-  if (field.ok() && field->is_bool()) out = field->AsBool();
+  if (field.ok() && (*field)->is_bool()) out = (*field)->AsBool();
 }
 
 void ReadNumber(const util::JsonValue& json, std::string_view key,
                 double& out) {
   auto field = json.GetField(key);
-  if (field.ok() && field->is_number()) out = field->AsNumber();
+  if (field.ok() && (*field)->is_number()) out = (*field)->AsNumber();
 }
 
 }  // namespace
@@ -185,12 +185,12 @@ util::StatusOr<RunManifest> RunManifest::FromJson(
     return util::Status::InvalidArgument("run manifest must be an object");
   }
   auto schema = json.GetField("schema");
-  if (!schema.ok() || !schema->is_string()) {
+  if (!schema.ok() || !(*schema)->is_string()) {
     return util::Status::InvalidArgument("run manifest missing \"schema\"");
   }
-  if (schema->AsString() != kSchema) {
+  if ((*schema)->AsString() != kSchema) {
     return util::Status::InvalidArgument("unsupported run manifest schema: " +
-                                         schema->AsString());
+                                         (*schema)->AsString());
   }
   RunManifest manifest;
   ReadString(json, "git_sha", manifest.git_sha);
@@ -209,8 +209,8 @@ util::StatusOr<RunManifest> RunManifest::FromJson(
   ReadNumber(json, "seed", seed);
   manifest.seed = static_cast<uint64_t>(seed);
   auto args = json.GetField("args");
-  if (args.ok() && args->is_array()) {
-    for (const util::JsonValue& arg : args->AsArray()) {
+  if (args.ok() && (*args)->is_array()) {
+    for (const util::JsonValue& arg : (*args)->AsArray()) {
       if (!arg.is_string()) {
         return util::Status::InvalidArgument(
             "run manifest \"args\" must contain strings");

@@ -97,33 +97,35 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
   CohortConfig config;
   if (auto field = json.GetField("group_size"); field.ok()) {
     TDG_ASSIGN_OR_RETURN(config.group_size,
-                         util::JsonToInt(*field, "group_size"));
+                         util::JsonToInt(**field, "group_size"));
   }
   if (auto field = json.GetField("policy"); field.ok()) {
-    if (!field->is_string()) {
+    if (!(*field)->is_string()) {
       return util::Status::InvalidArgument("policy must be a string");
     }
-    TDG_ASSIGN_OR_RETURN(config.policy, ParseCohortPolicy(field->AsString()));
+    TDG_ASSIGN_OR_RETURN(config.policy,
+                         ParseCohortPolicy((*field)->AsString()));
   }
   if (auto field = json.GetField("mode"); field.ok()) {
-    if (!field->is_string()) {
+    if (!(*field)->is_string()) {
       return util::Status::InvalidArgument("mode must be a string");
     }
-    TDG_ASSIGN_OR_RETURN(config.mode, ParseInteractionMode(field->AsString()));
+    TDG_ASSIGN_OR_RETURN(config.mode,
+                         ParseInteractionMode((*field)->AsString()));
   }
   if (auto field = json.GetField("learning_rate"); field.ok()) {
-    if (!field->is_number()) {
+    if (!(*field)->is_number()) {
       return util::Status::InvalidArgument("learning_rate must be a number");
     }
-    config.learning_rate = field->AsNumber();
+    config.learning_rate = (*field)->AsNumber();
   }
   if (auto field = json.GetField("seed"); field.ok()) {
-    if (!field->is_number()) {
+    if (!(*field)->is_number()) {
       return util::Status::InvalidArgument("seed must be a number");
     }
     // JSON numbers are doubles here, so only integers below 2^53 arrive
     // exactly; anything else would silently select another RNG stream.
-    const double seed = field->AsNumber();
+    const double seed = (*field)->AsNumber();
     if (!(seed >= 0.0 && seed < static_cast<double>(kMaxSeedExclusive)) ||
         std::trunc(seed) != seed) {
       return util::Status::InvalidArgument(util::StrFormat(
@@ -137,10 +139,12 @@ util::StatusOr<CohortConfig> CohortConfig::FromJson(
 
 util::JsonValue CohortRoundToJson(const CohortRound& round,
                                   int round_index) {
-  util::JsonValue assignment = util::JsonValue::MakeArray();
-  for (int g : round.assignment) assignment.Append(g);
-  util::JsonValue keys = util::JsonValue::MakeArray();
-  for (const std::string& key : round.keys) keys.Append(key);
+  util::JsonValue::Array assignment;
+  assignment.reserve(round.assignment.size());
+  for (int g : round.assignment) assignment.emplace_back(g);
+  util::JsonValue::Array keys;
+  keys.reserve(round.keys.size());
+  for (const std::string& key : round.keys) keys.emplace_back(key);
   util::JsonValue json = util::JsonValue::MakeObject();
   json.Set("assignment", std::move(assignment));
   json.Set("gain", round.gain);
@@ -148,6 +152,40 @@ util::JsonValue CohortRoundToJson(const CohortRound& round,
   json.Set("num_groups", round.num_groups);
   json.Set("round", round_index);
   return json;
+}
+
+util::JsonValue ParticipantsToJson(
+    const std::vector<CohortParticipant>& participants) {
+  util::JsonValue::Array array;
+  array.reserve(participants.size());
+  for (const CohortParticipant& participant : participants) {
+    util::JsonValue::Object entry;
+    entry.emplace("key", participant.key);
+    entry.emplace("skill", participant.skill);
+    array.emplace_back(std::move(entry));
+  }
+  return array;
+}
+
+util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
+    const util::JsonValue& json) {
+  if (!json.is_array()) {
+    return util::Status::InvalidArgument(
+        "'participants' must be an array of {key, skill} objects");
+  }
+  std::vector<CohortParticipant> participants;
+  participants.reserve(json.AsArray().size());
+  for (const util::JsonValue& entry : json.AsArray()) {
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* key, entry.GetField("key"));
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* skill,
+                         entry.GetField("skill"));
+    if (!key->is_string() || !skill->is_number()) {
+      return util::Status::InvalidArgument(
+          "participant entries need a string 'key' and a number 'skill'");
+    }
+    participants.push_back({key->AsString(), skill->AsNumber()});
+  }
+  return participants;
 }
 
 util::Status ValidateCohortId(std::string_view id) {

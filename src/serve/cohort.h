@@ -85,6 +85,16 @@ struct CohortRound {
 /// offline rounds can be byte-compared after Serialize().
 util::JsonValue CohortRoundToJson(const CohortRound& round, int round_index);
 
+/// The wire form of a participant list, [{"key":k, "skill":s}, ...], as the
+/// enroll body and the journal header carry it.
+util::JsonValue ParticipantsToJson(
+    const std::vector<CohortParticipant>& participants);
+/// Inverse of ParticipantsToJson. Checks entry shape only (string key,
+/// number skill); key syntax, uniqueness and skill range are
+/// Cohort::Create's.
+util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
+    const util::JsonValue& json);
+
 /// Syntax rules for identifiers that travel through URLs, JSON, and journal
 /// file names. Cohort ids: [A-Za-z0-9_-]{1,64}. Participant keys:
 /// printable ASCII without '/' or '"', 1..128 bytes.

@@ -38,38 +38,6 @@ std::string JournalDigest(const std::string& id, const CohortConfig& config) {
                       config.ToJson().Serialize().c_str()));
 }
 
-util::JsonValue ParticipantsToJson(
-    const std::vector<CohortParticipant>& participants) {
-  util::JsonValue array = util::JsonValue::MakeArray();
-  for (const CohortParticipant& participant : participants) {
-    util::JsonValue entry = util::JsonValue::MakeObject();
-    entry.Set("key", participant.key);
-    entry.Set("skill", participant.skill);
-    array.Append(std::move(entry));
-  }
-  return array;
-}
-
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json) {
-  if (!json.is_array()) {
-    return util::Status::InvalidArgument(
-        "'participants' must be an array of {key, skill} objects");
-  }
-  std::vector<CohortParticipant> participants;
-  participants.reserve(json.AsArray().size());
-  for (const util::JsonValue& entry : json.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return util::Status::InvalidArgument(
-          "participant entries need a string 'key' and a number 'skill'");
-    }
-    participants.push_back({key.AsString(), skill.AsNumber()});
-  }
-  return participants;
-}
-
 std::string HeaderLine(const std::string& id, const CohortConfig& config,
                        const std::vector<CohortParticipant>& participants) {
   util::JsonValue header = util::JsonValue::MakeObject();
@@ -222,25 +190,27 @@ util::Status CohortManager::ReplayJournal(const std::string& path) {
 
   // Header: schema + digest gate, then the enroll payload.
   const util::JsonValue& header = records[0];
-  TDG_ASSIGN_OR_RETURN(util::JsonValue schema, header.GetField("schema"));
-  if (!schema.is_string() || schema.AsString() != kJournalSchema) {
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* schema,
+                       header.GetField("schema"));
+  if (!schema->is_string() || schema->AsString() != kJournalSchema) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "journal '%s' has schema '%s', want '%.*s'", path.c_str(),
-        schema.is_string() ? schema.AsString().c_str() : "?",
+        schema->is_string() ? schema->AsString().c_str() : "?",
         static_cast<int>(kJournalSchema.size()), kJournalSchema.data()));
   }
-  TDG_ASSIGN_OR_RETURN(util::JsonValue id_json, header.GetField("id"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue config_json,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* id_json,
+                       header.GetField("id"));
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* config_json,
                        header.GetField("config"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue participants_json,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* participants_json,
                        header.GetField("participants"));
-  TDG_ASSIGN_OR_RETURN(util::JsonValue digest_json,
+  TDG_ASSIGN_OR_RETURN(const util::JsonValue* digest_json,
                        header.GetField("digest"));
-  if (!id_json.is_string() || !digest_json.is_string()) {
+  if (!id_json->is_string() || !digest_json->is_string()) {
     return util::Status::IOError(util::StrFormat(
         "journal '%s' header is malformed", path.c_str()));
   }
-  const std::string& id = id_json.AsString();
+  const std::string& id = id_json->AsString();
   TDG_RETURN_IF_ERROR(ValidateCohortId(id));
   if (JournalPath(id) != path) {
     return util::Status::FailedPrecondition(util::StrFormat(
@@ -249,45 +219,47 @@ util::Status CohortManager::ReplayJournal(const std::string& path) {
         path.c_str(), id.c_str()));
   }
   TDG_ASSIGN_OR_RETURN(CohortConfig config,
-                       CohortConfig::FromJson(config_json));
-  if (digest_json.AsString() != JournalDigest(id, config)) {
+                       CohortConfig::FromJson(*config_json));
+  if (digest_json->AsString() != JournalDigest(id, config)) {
     return util::Status::FailedPrecondition(util::StrFormat(
         "journal '%s' was written by a different build or its header was "
         "edited (digest mismatch); refusing to replay",
         path.c_str()));
   }
   TDG_ASSIGN_OR_RETURN(std::vector<CohortParticipant> participants,
-                       ParticipantsFromJson(participants_json));
+                       ParticipantsFromJson(*participants_json));
   TDG_ASSIGN_OR_RETURN(Cohort cohort,
                        Cohort::Create(id, config, participants));
 
   // Ops. Every journaled op passed its precheck when appended, so replay
   // failures mean the journal (not the request stream) is damaged.
   for (size_t i = 1; i < records.size(); ++i) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue op_json,
+    TDG_ASSIGN_OR_RETURN(const util::JsonValue* op_json,
                          records[i].GetField("op"));
-    if (!op_json.is_string()) {
+    if (!op_json->is_string()) {
       return util::Status::IOError(util::StrFormat(
           "journal '%s' op line %zu is malformed", path.c_str(), i + 1));
     }
-    const std::string& op = op_json.AsString();
+    const std::string& op = op_json->AsString();
     util::Status applied = util::Status::OK();
     if (op == "join") {
-      TDG_ASSIGN_OR_RETURN(util::JsonValue key, records[i].GetField("key"));
-      TDG_ASSIGN_OR_RETURN(util::JsonValue skill,
+      TDG_ASSIGN_OR_RETURN(const util::JsonValue* key,
+                           records[i].GetField("key"));
+      TDG_ASSIGN_OR_RETURN(const util::JsonValue* skill,
                            records[i].GetField("skill"));
-      if (!key.is_string() || !skill.is_number()) {
+      if (!key->is_string() || !skill->is_number()) {
         return util::Status::IOError(util::StrFormat(
             "journal '%s' join op %zu is malformed", path.c_str(), i + 1));
       }
-      applied = cohort.Join(key.AsString(), skill.AsNumber());
+      applied = cohort.Join(key->AsString(), skill->AsNumber());
     } else if (op == "leave") {
-      TDG_ASSIGN_OR_RETURN(util::JsonValue key, records[i].GetField("key"));
-      if (!key.is_string()) {
+      TDG_ASSIGN_OR_RETURN(const util::JsonValue* key,
+                           records[i].GetField("key"));
+      if (!key->is_string()) {
         return util::Status::IOError(util::StrFormat(
             "journal '%s' leave op %zu is malformed", path.c_str(), i + 1));
       }
-      applied = cohort.Leave(key.AsString());
+      applied = cohort.Leave(key->AsString());
     } else if (op == "advance") {
       applied = cohort.Advance().status();
     } else {

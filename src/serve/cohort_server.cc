@@ -72,26 +72,6 @@ util::JsonValue SummaryJson(const CohortManager::Summary& summary) {
   return json;
 }
 
-util::StatusOr<std::vector<CohortParticipant>> ParticipantsFromJson(
-    const util::JsonValue& json) {
-  if (!json.is_array()) {
-    return util::Status::InvalidArgument(
-        "'participants' must be an array of {key, skill} objects");
-  }
-  std::vector<CohortParticipant> participants;
-  participants.reserve(json.AsArray().size());
-  for (const util::JsonValue& entry : json.AsArray()) {
-    TDG_ASSIGN_OR_RETURN(util::JsonValue key, entry.GetField("key"));
-    TDG_ASSIGN_OR_RETURN(util::JsonValue skill, entry.GetField("skill"));
-    if (!key.is_string() || !skill.is_number()) {
-      return util::Status::InvalidArgument(
-          "participant entries need a string 'key' and a number 'skill'");
-    }
-    participants.push_back({key.AsString(), skill.AsNumber()});
-  }
-  return participants;
-}
-
 /// Splits "/cohorts/<id>[/<verb>[/<arg>]]" into its path segments after
 /// "/cohorts/". Returns false when the path is not under /cohorts/.
 bool SplitCohortPath(std::string_view path,
@@ -361,20 +341,20 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
     auto id = body->GetField("id");
     auto config_json = body->GetField("config");
     auto participants_json = body->GetField("participants");
-    if (!id.ok() || !id->is_string() || !config_json.ok() ||
+    if (!id.ok() || !(*id)->is_string() || !config_json.ok() ||
         !participants_json.ok()) {
       return AppErrorResponse(util::Status::InvalidArgument(
           "enroll body needs 'id', 'config', and 'participants'"));
     }
-    auto config = CohortConfig::FromJson(*config_json);
+    auto config = CohortConfig::FromJson(**config_json);
     if (!config.ok()) return AppErrorResponse(config.status());
-    auto participants = ParticipantsFromJson(*participants_json);
+    auto participants = ParticipantsFromJson(**participants_json);
     if (!participants.ok()) return AppErrorResponse(participants.status());
     util::Status enrolled =
-        manager_->Enroll(id->AsString(), *config, *participants);
+        manager_->Enroll((*id)->AsString(), *config, *participants);
     if (!enrolled.ok()) return AppErrorResponse(enrolled);
     util::JsonValue json = util::JsonValue::MakeObject();
-    json.Set("id", id->AsString());
+    json.Set("id", (*id)->AsString());
     json.Set("participants",
              static_cast<long long>(participants->size()));
     return util::net::BuildHttpResponse(201, "Created", "application/json",
@@ -423,20 +403,21 @@ std::string CohortServer::Route(const util::net::HttpRequest& request,
       auto body = util::JsonValue::Parse(request.body);
       if (!body.ok()) return AppErrorResponse(body.status());
       auto key = body->GetField("key");
-      if (!key.ok() || !key->is_string()) {
+      if (!key.ok() || !(*key)->is_string()) {
         return AppErrorResponse(util::Status::InvalidArgument(
             "body needs a string 'key'"));
       }
       util::Status applied = util::Status::OK();
       if (segments[1] == "join") {
         auto skill = body->GetField("skill");
-        if (!skill.ok() || !skill->is_number()) {
+        if (!skill.ok() || !(*skill)->is_number()) {
           return AppErrorResponse(util::Status::InvalidArgument(
               "join body needs a number 'skill'"));
         }
-        applied = manager_->Join(id, key->AsString(), skill->AsNumber());
+        applied =
+            manager_->Join(id, (*key)->AsString(), (*skill)->AsNumber());
       } else {
-        applied = manager_->Leave(id, key->AsString());
+        applied = manager_->Leave(id, (*key)->AsString());
       }
       if (!applied.ok()) return AppErrorResponse(applied);
       auto summary = manager_->GetSummary(id);

@@ -1,9 +1,9 @@
 #include "util/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
+#include <system_error>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -45,15 +45,16 @@ JsonValue::Object& JsonValue::AsObject() {
   return object_;
 }
 
-util::StatusOr<JsonValue> JsonValue::GetField(std::string_view key) const {
+util::StatusOr<const JsonValue*> JsonValue::GetField(
+    std::string_view key) const& {
   if (!is_object()) {
     return Status::InvalidArgument("GetField on a non-object JSON value");
   }
-  auto it = object_.find(std::string(key));
+  auto it = object_.find(key);
   if (it == object_.end()) {
     return Status::NotFound("no JSON field '" + std::string(key) + "'");
   }
-  return it->second;
+  return &it->second;
 }
 
 void JsonValue::Append(JsonValue value) {
@@ -139,14 +140,22 @@ std::string JsonEscape(std::string_view text) {
 
 namespace {
 
-std::string FormatJsonNumber(double value) {
+// Integers print without a decimal point; everything else prints as %.17g,
+// which round-trips every double (to_chars' general format at precision 17
+// is defined as printf's %.17g, so the bytes match the snprintf they
+// replace).
+void AppendJsonNumber(std::string& out, double value) {
   TDG_CHECK(std::isfinite(value)) << "JSON cannot represent " << value;
-  // Integers print without a decimal point; everything else round-trips via
-  // %.17g.
+  char buffer[32];  // "-1.2345678901234567e-308" is the longest, 24 bytes
+  std::to_chars_result written;
   if (value == std::floor(value) && std::abs(value) < 1e15) {
-    return StrFormat("%lld", static_cast<long long>(value));
+    written = std::to_chars(buffer, buffer + sizeof(buffer),
+                            static_cast<long long>(value));
+  } else {
+    written = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                            std::chars_format::general, 17);
   }
-  return StrFormat("%.17g", value);
+  out.append(buffer, written.ptr);
 }
 
 }  // namespace
@@ -165,7 +174,7 @@ void JsonValue::SerializeTo(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      out += FormatJsonNumber(number_);
+      AppendJsonNumber(out, number_);
       break;
     case Type::kString:
       out += JsonEscape(string_);
@@ -298,7 +307,7 @@ class JsonParser {
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
       TDG_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      object[std::move(key)] = std::move(value);
+      object.insert_or_assign(std::move(key), std::move(value));
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume('}')) break;
@@ -327,16 +336,18 @@ class JsonParser {
     Consume('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, escape or control byte at once.
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) return Error("unterminated string");
       char c = text_[pos_++];
       if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') return Error("raw control character in string");
       if (pos_ >= text_.size()) return Error("dangling escape");
       char e = text_[pos_++];
       switch (e) {
@@ -404,20 +415,42 @@ class JsonParser {
     return out;
   }
 
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, converted
+  // by from_chars (subnormals included; overflow and underflow to zero are
+  // errors).
   util::StatusOr<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {
+    const size_t start = pos_;
+    Consume('-');
+    if (!Consume('0') && ConsumeDigits() == 0) {
+      return Error(pos_ == start ? "expected a JSON value"
+                                 : "malformed number");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (Consume('.') && ConsumeDigits() == 0) {
+      return Error("malformed number");
+    }
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (ConsumeDigits() == 0) return Error("malformed number");
+    }
+    double value = 0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const std::from_chars_result parsed = std::from_chars(first, last, value);
+    if (parsed.ec == std::errc::result_out_of_range) {
+      return Error("number out of double range");
+    }
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+      return Error("malformed number");
+    }
+    return JsonValue(value);
+  }
+
+  size_t ConsumeDigits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) return Error("expected a JSON value");
-    auto parsed = ParseDouble(text_.substr(start, pos_ - start));
-    if (!parsed.ok()) return Error("malformed number");
-    return JsonValue(parsed.value());
+    return pos_ - start;
   }
 
   std::string_view text_;

@@ -1,6 +1,7 @@
 #ifndef TDG_UTIL_JSON_H_
 #define TDG_UTIL_JSON_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,16 +14,25 @@ namespace tdg::util {
 
 /// A minimal JSON document model (null / bool / number / string / array /
 /// object) with a strict RFC 8259 parser and a serializer. Used for
-/// experiment-result export and config files; deliberately small — no
-/// comments, no NaN/Inf, numbers are doubles.
+/// experiment-result export, config files, and the serving plane's request
+/// bodies and journals; deliberately small — no comments, no NaN/Inf,
+/// numbers are doubles.
+///
+/// Numbers follow RFC 8259's grammar exactly (no '+', no leading zeros, no
+/// bare '.') and convert with std::from_chars, so every finite double the
+/// serializer writes — subnormals included — parses back to the same bits;
+/// literals that overflow or underflow to zero (1e999, 1e-400) are errors.
+/// The serializer writes integral values below 1e15 in magnitude as plain
+/// integers and everything else as %.17g, both through std::to_chars.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<JsonValue>;
   /// std::map keeps key order deterministic (sorted), which makes golden
-  /// tests and diffs stable.
-  using Object = std::map<std::string, JsonValue>;
+  /// tests and diffs stable; std::less<> lets GetField look up a
+  /// string_view without building a key string.
+  using Object = std::map<std::string, JsonValue, std::less<>>;
 
   /// Constructs null.
   JsonValue() = default;
@@ -62,8 +72,14 @@ class JsonValue {
   const Object& AsObject() const;
   Object& AsObject();
 
-  /// Object field lookup; NotFound if absent or not an object.
-  util::StatusOr<JsonValue> GetField(std::string_view key) const;
+  /// Object field lookup without a copy: a pointer to the field inside this
+  /// document, valid while the document lives and is not mutated. NotFound
+  /// if the key is absent, InvalidArgument if this is not an object. A
+  /// temporary's field would dangle, so GetField on an rvalue does not
+  /// compile: bind the document to a name first.
+  util::StatusOr<const JsonValue*> GetField(std::string_view key) const&;
+  util::StatusOr<const JsonValue*> GetField(std::string_view key) const&& =
+      delete;
 
   /// Convenience appenders (valid on arrays/objects only).
   void Append(JsonValue value);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+
 namespace tdg::util {
 namespace {
 
@@ -61,12 +65,11 @@ TEST(JsonParseTest, ParsesNestedStructures) {
       R"({"cells": [{"n": 10, "gain": 1.5}, {"n": 20, "gain": 3.25}],
           "name": "sweep"})");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetField("name")->AsString(), "sweep");
-  // Copy out of the temporary StatusOr — binding a reference to
-  // `GetField(...)->AsArray()` would dangle once the temporary dies.
-  const auto cells = parsed->GetField("cells")->AsArray();
+  EXPECT_EQ(parsed->GetField("name").value()->AsString(), "sweep");
+  // GetField points into *parsed, so the reference lives as long as it.
+  const auto& cells = parsed->GetField("cells").value()->AsArray();
   ASSERT_EQ(cells.size(), 2u);
-  EXPECT_DOUBLE_EQ(cells[1].GetField("gain")->AsNumber(), 3.25);
+  EXPECT_DOUBLE_EQ(cells[1].GetField("gain").value()->AsNumber(), 3.25);
   EXPECT_FALSE(parsed->GetField("missing").ok());
 }
 
@@ -112,7 +115,83 @@ TEST(JsonParseTest, RoundTripsComplexDocument) {
 TEST(JsonParseTest, WhitespaceTolerant) {
   auto parsed = JsonValue::Parse("  {\n\t\"a\" :\r [ 1 , 2 ]\n}  ");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetField("a")->AsArray().size(), 2u);
+  EXPECT_EQ(parsed->GetField("a").value()->AsArray().size(), 2u);
+}
+
+TEST(JsonValueTest, NumbersSerializeToPinnedBytes) {
+  // Integral values below 1e15 print as integers, everything else as
+  // printf's %.17g; these are the bytes every earlier journal, golden and
+  // served round carries.
+  const std::pair<double, const char*> cases[] = {
+      {-0.0, "0"},
+      {0.1, "0.10000000000000001"},
+      {1.0 / 3.0, "0.33333333333333331"},
+      {1e15 - 1, "999999999999999"},
+      {1e15, "1000000000000000"},
+      {9007199254740992.0, "9007199254740992"},  // 2^53
+      {5e-324, "4.9406564584124654e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+      {-1e-7, "-9.9999999999999995e-08"},
+  };
+  for (const auto& [value, bytes] : cases) {
+    EXPECT_EQ(JsonValue(value).Serialize(), bytes);
+  }
+}
+
+TEST(JsonParseTest, NumbersFollowTheRfc8259Grammar) {
+  for (const char* bad :
+       {"+1", "01", ".5", "1.", "-.5", "-", "--1", "-01", "00", "1e", "1e+",
+        "1.e5", "0x10", "[01]", "[1.]", "{\"a\":+1}", "Infinity", "NaN"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(JsonValue::Parse(bad).ok());
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},       {"-0", -0.0},     {"0.5", 0.5},
+      {"-0.0e0", -0.0}, {"1e5", 1e5},     {"1E+5", 1e5},
+      {"2.5e-3", 2.5e-3}, {"-12.75", -12.75}, {"10", 10.0}};
+  for (const auto& [text, value] : good) {
+    SCOPED_TRACE(text);
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->AsNumber(), value);
+    EXPECT_EQ(std::signbit(parsed->AsNumber()), std::signbit(value));
+  }
+}
+
+TEST(JsonParseTest, RejectsNumbersOutsideDoubleRange) {
+  EXPECT_FALSE(JsonValue::Parse("1e999").ok());
+  EXPECT_FALSE(JsonValue::Parse("-1e999").ok());
+  EXPECT_FALSE(JsonValue::Parse("1e-400").ok());
+}
+
+TEST(JsonParseTest, SubnormalsRoundTripBitwise) {
+  for (double value : {5e-324, -5e-324, 2.2250738585072009e-308, 1e-310}) {
+    SCOPED_TRACE(value);
+    const std::string text = JsonValue(value).Serialize();
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status();
+    const double back = parsed->AsNumber();
+    EXPECT_EQ(std::memcmp(&back, &value, sizeof(double)), 0) << text;
+  }
+}
+
+TEST(JsonValueTest, GetFieldReturnsAPointerIntoTheParsedDocument) {
+  auto parsed = JsonValue::Parse(R"({"a": [1, 2], "b": "x"})");
+  ASSERT_TRUE(parsed.ok());
+  auto field = parsed->GetField("a");
+  ASSERT_TRUE(field.ok());
+  EXPECT_EQ(*field, &parsed->AsObject().find("a")->second);
+
+  auto missing = parsed->GetField("c");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("'c'"), std::string::npos);
+
+  for (const JsonValue& not_object :
+       {JsonValue::MakeArray(), JsonValue(1.0), JsonValue("a"),
+        JsonValue::Null()}) {
+    EXPECT_EQ(not_object.GetField("a").status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(JsonToIntTest, AcceptsExactlyTheIntegralNumbersInIntRange) {

@@ -197,14 +197,14 @@ TEST(MetricsTest, SnapshotRoundTripsThroughJsonAndCsv) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   auto counters = parsed->GetField("counters");
   ASSERT_TRUE(counters.ok());
-  auto counter_value = counters->GetField("obs_test/snap_counter");
+  auto counter_value = (*counters)->GetField("obs_test/snap_counter");
   ASSERT_TRUE(counter_value.ok());
-  EXPECT_DOUBLE_EQ(counter_value->AsNumber(), 11.0);
+  EXPECT_DOUBLE_EQ((*counter_value)->AsNumber(), 11.0);
   auto histograms = parsed->GetField("histograms");
   ASSERT_TRUE(histograms.ok());
-  auto histogram_json = histograms->GetField("obs_test/snap_histogram");
+  auto histogram_json = (*histograms)->GetField("obs_test/snap_histogram");
   ASSERT_TRUE(histogram_json.ok());
-  EXPECT_DOUBLE_EQ(histogram_json->GetField("p50")->AsNumber(),
+  EXPECT_DOUBLE_EQ((*histogram_json)->GetField("p50").value()->AsNumber(),
                    snapshot.histograms.at("obs_test/snap_histogram").p50);
 
   // CSV carries one row per metric with the documented header.

@@ -96,9 +96,10 @@ TEST(PerfDiffTest, InjectedTwoXSlowdownIsAWelchBackedRegression) {
   EXPECT_EQ(diff->cases[1].verdict, PerfVerdict::kUnchanged);
 
   // And the machine-readable verdict says fail.
-  auto verdict = diff->ToJson().GetField("verdict");
+  const util::JsonValue json = diff->ToJson();
+  auto verdict = json.GetField("verdict");
   ASSERT_TRUE(verdict.ok());
-  EXPECT_EQ(verdict->AsString(), "fail");
+  EXPECT_EQ((*verdict)->AsString(), "fail");
 }
 
 TEST(PerfDiffTest, TwoXSpeedupIsAnImprovementAndPasses) {
@@ -369,10 +370,10 @@ TEST(PerfDiffTest, TableAndJsonNameEveryCase) {
   util::JsonValue json = diff->ToJson();
   auto cases = json.GetField("cases");
   ASSERT_TRUE(cases.ok());
-  EXPECT_EQ(cases->AsArray().size(), 2u);
+  EXPECT_EQ((*cases)->AsArray().size(), 2u);
   auto verdict = json.GetField("verdict");
   ASSERT_TRUE(verdict.ok());
-  EXPECT_EQ(verdict->AsString(), "pass");
+  EXPECT_EQ((*verdict)->AsString(), "pass");
 }
 
 }  // namespace

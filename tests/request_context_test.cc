@@ -234,10 +234,11 @@ TEST(TailSamplerTest, CapacitiesBoundBothRings) {
   ASSERT_TRUE(recent.is_object());
   const auto traces = recent.GetField("traces");
   ASSERT_TRUE(traces.ok());
-  ASSERT_EQ(traces->AsArray().size(), 4u);
+  ASSERT_EQ((*traces)->AsArray().size(), 4u);
   // Newest first.
-  EXPECT_EQ(traces->AsArray()[0].GetField("trace_id")->AsNumber(), 100.0);
-  EXPECT_EQ(traces->AsArray()[3].GetField("trace_id")->AsNumber(), 97.0);
+  const util::JsonValue::Array& newest_first = (*traces)->AsArray();
+  EXPECT_EQ(newest_first[0].GetField("trace_id").value()->AsNumber(), 100.0);
+  EXPECT_EQ(newest_first[3].GetField("trace_id").value()->AsNumber(), 97.0);
 }
 
 TEST(TailSamplerTest, RecentTraceFieldsMatchContext) {
@@ -246,12 +247,12 @@ TEST(TailSamplerTest, RecentTraceFieldsMatchContext) {
   const util::JsonValue recent = sampler.RecentTracesJson();
   const auto traces = recent.GetField("traces");
   ASSERT_TRUE(traces.ok());
-  ASSERT_EQ(traces->AsArray().size(), 1u);
-  const util::JsonValue& trace = traces->AsArray()[0];
-  EXPECT_EQ(trace.GetField("trace_id")->AsNumber(), 42.0);
-  EXPECT_EQ(trace.GetField("endpoint")->AsString(), "advance");
-  EXPECT_EQ(trace.GetField("status")->AsNumber(), 503.0);
-  EXPECT_EQ(trace.GetField("total_micros")->AsNumber(), 1234.0);
+  ASSERT_EQ((*traces)->AsArray().size(), 1u);
+  const util::JsonValue& trace = (*traces)->AsArray()[0];
+  EXPECT_EQ(trace.GetField("trace_id").value()->AsNumber(), 42.0);
+  EXPECT_EQ(trace.GetField("endpoint").value()->AsString(), "advance");
+  EXPECT_EQ(trace.GetField("status").value()->AsNumber(), 503.0);
+  EXPECT_EQ(trace.GetField("total_micros").value()->AsNumber(), 1234.0);
 }
 
 TEST(TailSamplerTest, OfferIsThreadSafe) {

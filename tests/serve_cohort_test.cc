@@ -349,6 +349,26 @@ TEST_F(ServeJournalTest, ReplayRestoresBitwiseStateAndRngStream) {
   EXPECT_EQ(*restored_after, *reference_after);
 }
 
+TEST_F(ServeJournalTest, SubnormalSkillJoinReplays) {
+  // A subnormal skill is a valid (finite, positive) join, and the journal
+  // line it writes must replay: the journal's JSON parser reads back every
+  // double its serializer writes.
+  constexpr double kTiny = 4.9406564584124654e-324;
+  {
+    auto manager = CohortManager::Open(DiskOptions());
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    ASSERT_TRUE((*manager)->Enroll("tiny", {}, MakeParticipants(4)).ok());
+    ASSERT_TRUE((*manager)->Join("tiny", "subnormal", kTiny).ok());
+    ASSERT_TRUE((*manager)->Advance("tiny").ok());
+  }
+  auto restored = CohortManager::Open(DiskOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  auto cohort = (*restored)->SnapshotCohort("tiny");
+  ASSERT_TRUE(cohort.ok()) << cohort.status();
+  EXPECT_EQ(cohort->num_participants(), 5);
+  EXPECT_EQ(cohort->rounds_advanced(), 1);
+}
+
 TEST_F(ServeJournalTest, TornFinalLineIsHealedByTruncation) {
   {
     auto manager = CohortManager::Open(DiskOptions());

@@ -205,9 +205,9 @@ TEST(ServeSoakTest, ContendedAdvancesAreTracedEndToEnd) {
   auto traces = tracez_json->GetField("traces");
   ASSERT_TRUE(traces.ok());
   double advance_trace_id = 0;
-  for (const util::JsonValue& trace : traces->AsArray()) {
-    if (trace.GetField("endpoint")->AsString() == "advance") {
-      advance_trace_id = trace.GetField("trace_id")->AsNumber();
+  for (const util::JsonValue& trace : (*traces)->AsArray()) {
+    if (trace.GetField("endpoint").value()->AsString() == "advance") {
+      advance_trace_id = trace.GetField("trace_id").value()->AsNumber();
       break;
     }
   }

@@ -264,21 +264,21 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
     auto probe = util::JsonValue::Parse(body);
     if (!probe.ok()) return false;
     auto probe_windows = probe->GetField("windows");
-    return probe_windows.ok() && probe_windows->GetField("healthz").ok();
+    return probe_windows.ok() && (*probe_windows)->GetField("healthz").ok();
   })) << "healthz window never appeared on /statusz";
   auto json = util::JsonValue::Parse(body);
   ASSERT_TRUE(json.ok()) << json.status();
   auto windows = json->GetField("windows");
   ASSERT_TRUE(windows.ok()) << windows.status();
-  auto healthz = windows->GetField("healthz");
+  auto healthz = (*windows)->GetField("healthz");
   ASSERT_TRUE(healthz.ok()) << "statusz windows: "
-                            << windows->Serialize();
-  auto one_minute = healthz->GetField("1m");
+                            << (*windows)->Serialize();
+  auto one_minute = (*healthz)->GetField("1m");
   ASSERT_TRUE(one_minute.ok());
-  EXPECT_GE(one_minute->GetField("count")->AsNumber(), 1.0);
-  EXPECT_TRUE(one_minute->GetField("p99").ok());
-  EXPECT_TRUE(one_minute->GetField("qps").ok());
-  EXPECT_TRUE(one_minute->GetField("error_rate").ok());
+  EXPECT_GE((*one_minute)->GetField("count").value()->AsNumber(), 1.0);
+  EXPECT_TRUE((*one_minute)->GetField("p99").ok());
+  EXPECT_TRUE((*one_minute)->GetField("qps").ok());
+  EXPECT_TRUE((*one_minute)->GetField("error_rate").ok());
 }
 
 TEST_F(ServeTelemetryTest, TracezAndSlowzServeTheSampledTraces) {
@@ -306,20 +306,20 @@ TEST_F(ServeTelemetryTest, TracezAndSlowzServeTheSampledTraces) {
     auto probe = util::JsonValue::Parse(tracez_body);
     if (!probe.ok()) return false;
     auto probe_traces = probe->GetField("traces");
-    return probe_traces.ok() && probe_traces->AsArray().size() >= 2 &&
+    return probe_traces.ok() && (*probe_traces)->AsArray().size() >= 2 &&
            tracez_body.find("\"endpoint\":\"advance\"") != std::string::npos;
   })) << "advance trace never appeared on /tracez";
   auto tracez_json = util::JsonValue::Parse(tracez_body);
   ASSERT_TRUE(tracez_json.ok()) << tracez_json.status();
   auto traces = tracez_json->GetField("traces");
   ASSERT_TRUE(traces.ok());
-  ASSERT_GE(traces->AsArray().size(), 2u);  // enroll + advance at least
+  ASSERT_GE((*traces)->AsArray().size(), 2u);  // enroll + advance at least
   bool saw_advance = false;
-  for (const util::JsonValue& trace : traces->AsArray()) {
-    EXPECT_NE(trace.GetField("trace_id")->AsNumber(), 0.0);
-    if (trace.GetField("endpoint")->AsString() == "advance") {
+  for (const util::JsonValue& trace : (*traces)->AsArray()) {
+    EXPECT_NE(trace.GetField("trace_id").value()->AsNumber(), 0.0);
+    if (trace.GetField("endpoint").value()->AsString() == "advance") {
       saw_advance = true;
-      EXPECT_EQ(trace.GetField("status")->AsNumber(), 200.0);
+      EXPECT_EQ(trace.GetField("status").value()->AsNumber(), 200.0);
     }
   }
   EXPECT_TRUE(saw_advance);

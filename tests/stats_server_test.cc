@@ -243,11 +243,11 @@ TEST(StatsServerTest, StatuszServesManifestAndUptime) {
   ASSERT_TRUE(json.ok()) << json.status();
   auto manifest = json->GetField("manifest");
   ASSERT_TRUE(manifest.ok());
-  auto roundtrip = RunManifest::FromJson(manifest.value());
+  auto roundtrip = RunManifest::FromJson(**manifest);
   ASSERT_TRUE(roundtrip.ok()) << roundtrip.status();
   EXPECT_EQ(roundtrip->seed, 99u);
-  EXPECT_GE(json->GetField("uptime_seconds")->AsNumber(), 0.0);
-  EXPECT_EQ(static_cast<int>(json->GetField("port")->AsNumber()),
+  EXPECT_GE(json->GetField("uptime_seconds").value()->AsNumber(), 0.0);
+  EXPECT_EQ(static_cast<int>(json->GetField("port").value()->AsNumber()),
             server->port());
 }
 
@@ -266,13 +266,11 @@ TEST(StatsServerTest, ProgresszServesTrackerSnapshot) {
   ASSERT_TRUE(body.ok());
   auto json = util::JsonValue::Parse(body.value());
   ASSERT_TRUE(json.ok()) << json.status();
-  EXPECT_EQ(json->GetField("name")->AsString(), "progressz-test");
-  EXPECT_EQ(
-      static_cast<long long>(json->GetField("cells_total")->AsNumber()), 8);
-  EXPECT_EQ(
-      static_cast<long long>(json->GetField("cells_done")->AsNumber()), 3);
-  EXPECT_GE(json->GetField("eta_seconds")->AsNumber(), 0.0);
-  EXPECT_EQ(json->GetField("current_cell")->AsString(), "cell-2");
+  EXPECT_EQ(json->GetField("name").value()->AsString(), "progressz-test");
+  EXPECT_EQ(json->GetField("cells_total").value()->AsNumber(), 8.0);
+  EXPECT_EQ(json->GetField("cells_done").value()->AsNumber(), 3.0);
+  EXPECT_GE(json->GetField("eta_seconds").value()->AsNumber(), 0.0);
+  EXPECT_EQ(json->GetField("current_cell").value()->AsString(), "cell-2");
 }
 
 TEST(StatsServerTest, ConcurrentScrapesAllSucceed) {

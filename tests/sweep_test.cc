@@ -128,8 +128,8 @@ TEST(RunSweepTest, ExportsTableCsvAndJson) {
   EXPECT_TRUE(csv.ColumnIndex("mean_gain").ok());
 
   util::JsonValue json = result->ToJson();
-  EXPECT_EQ(json.GetField("name")->AsString(), "unit");
-  EXPECT_EQ(json.GetField("cells")->AsArray().size(),
+  EXPECT_EQ(json.GetField("name").value()->AsString(), "unit");
+  EXPECT_EQ(json.GetField("cells").value()->AsArray().size(),
             result->cells.size());
   // The JSON serialization parses back.
   auto reparsed = util::JsonValue::Parse(json.Serialize());

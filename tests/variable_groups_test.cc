@@ -5,7 +5,9 @@
 #include <algorithm>
 
 #include "core/dygroups.h"
+#include "core/reference/reference_kernels.h"
 #include "random/distributions.h"
+#include "serve/cohort.h"
 
 namespace tdg {
 namespace {
@@ -65,6 +67,62 @@ TEST(SizedCliqueTest, EveryGroupSpansTheSkillRangeUnderSkew) {
     EXPECT_GT(max_rank, 45) << "group " << g << " lacks a weak member";
   }
 }
+
+// The size-class deal against the O(n·k) scan it replaced: the groups,
+// member order included, must be identical.
+void ExpectCliqueMatchesOracle(const SkillVector& skills,
+                               const std::vector<int>& sizes) {
+  auto dealt = DyGroupsCliqueLocalSized(skills, sizes);
+  auto oracle = reference::DyGroupsCliqueLocalSized(skills, sizes);
+  ASSERT_TRUE(dealt.ok()) << dealt.status();
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ASSERT_EQ(dealt->groups, oracle->groups)
+      << "n=" << skills.size() << " k=" << sizes.size();
+}
+
+TEST(SizedCliqueDifferentialTest, RandomMultiSizeProfilesMatchTheScan) {
+  random::Rng rng(15);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int k = 1 + static_cast<int>(rng.NextBounded(40));
+    // Few distinct sizes on most trials, a spread of many on the rest, and
+    // now and then one giant group (skewed profiles).
+    const int max_size = trial % 3 == 0 ? 30 : 1 + trial % 4;
+    std::vector<int> sizes(static_cast<size_t>(k));
+    int n = 0;
+    for (int& size : sizes) {
+      size = 1 + static_cast<int>(rng.NextBounded(max_size));
+      n += size;
+    }
+    if (trial % 7 == 0) {
+      sizes[rng.NextBounded(static_cast<uint64_t>(k))] += 200;
+      n += 200;
+    }
+    // Coarse skills, so the sort's tie order is exercised too.
+    SkillVector skills(static_cast<size_t>(n));
+    for (double& skill : skills) {
+      skill = 1.0 + static_cast<double>(rng.NextBounded(8));
+    }
+    ExpectCliqueMatchesOracle(skills, sizes);
+  }
+}
+
+class SizedCliqueBalancedTest : public testing::TestWithParam<int> {};
+
+TEST_P(SizedCliqueBalancedTest, ServedProfilesMatchTheScan) {
+  const int n = GetParam();
+  random::Rng rng(static_cast<uint64_t>(n));
+  SkillVector skills =
+      random::GenerateSkills(rng, random::SkillDistribution::kLogNormal, n);
+  for (int group_size = 1; group_size <= 7; ++group_size) {
+    auto sizes = serve::Cohort::SizeProfileFor(n, group_size);
+    ASSERT_TRUE(sizes.ok()) << sizes.status();
+    ExpectCliqueMatchesOracle(skills, *sizes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CohortSizes, SizedCliqueBalancedTest,
+                         testing::Values(1, 2, 7, 9999, 10000, 10001,
+                                         12345));
 
 TEST(SizedPoliciesTest, ReduceToEquiSizedAlgorithms) {
   random::Rng rng(5);
