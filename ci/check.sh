@@ -608,7 +608,7 @@ run_serve() {
   # The serving plane's whole battery runs under both sanitizers: asan for
   # the parser/journal memory story, tsan for the worker pool + per-cohort
   # locks + concurrent scrapes.
-  local filter='Serve|HttpRequest|Net|StatsServer|Json|ParserFuzz|VariableGroups|SizedClique'
+  local filter='Serve|HttpRequest|Net|StatsServer|Json|ParserFuzz|SizeProfile|Sized'
   local asan_dir="build-ci/serve"
   echo "==> [serve] configure (asan)"
   cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

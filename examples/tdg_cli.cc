@@ -437,7 +437,8 @@ int main(int argc, char** argv) {
     stats_server = std::move(server).value();
     std::fprintf(stderr,
                  "stats server listening on http://127.0.0.1:%d "
-                 "(/healthz /metrics /statusz /progressz /blackboxz)\n",
+                 "(/healthz /metrics /statusz /progressz /blackboxz /tracez "
+                 "/slowz)\n",
                  stats_server->port());
   }
 

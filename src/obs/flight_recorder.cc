@@ -97,8 +97,9 @@ std::size_t FileBytes(int max_rings, std::size_t ring_bytes) {
 
 // Mapped-file handle + geometry. Published once via an atomic pointer and
 // never freed or unmapped: a thread still holding a pointer from a
-// previous epoch keeps writing into valid (orphaned) memory instead of
-// faulting. The leak is bounded by the number of Start calls.
+// previous epoch keeps writing into valid memory instead of faulting.
+// A restart moves the previous State onto the recorder's retired list, so
+// the memory held is bounded by the number of Start calls.
 struct FlightRecorder::State {
   std::byte* map = nullptr;
   std::size_t map_bytes = 0;
@@ -165,7 +166,7 @@ util::Status FlightRecorder::Start(Options options) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Quiesce writers while the state pointer swaps; stragglers that raced
   // past the flag keep writing through the previous (still mapped,
-  // about-to-be-orphaned) file, never the new one.
+  // about-to-be-retired) file, never the new one.
   active_.store(false, std::memory_order_release);
 
   // Unlink instead of truncating: a previous epoch may still have this
@@ -203,6 +204,9 @@ util::Status FlightRecorder::Start(Options options) {
     util::AddFatalHandler(&FlightRecorder::CrashSync);
   }
 
+  if (State* previous = state_.load(std::memory_order_relaxed)) {
+    retired_.push_back(previous);
+  }
   state_.store(state, std::memory_order_release);
   last_path_ = options.path;
   active_.store(true, std::memory_order_release);

@@ -146,8 +146,11 @@ class FlightRecorder {
 
   std::atomic<bool> active_{false};
   std::atomic<State*> state_{nullptr};
-  mutable std::mutex mutex_;  // serializes Start/Stop; guards last_path_
+  mutable std::mutex mutex_;  // serializes Start/Stop; guards the rest
   std::string last_path_;
+  // States a restart replaced. Never freed (a straggler may still write
+  // through one), but owned here rather than orphaned.
+  std::vector<State*> retired_;
 };
 
 /// A decoded dump: header facts plus all surviving events merged across

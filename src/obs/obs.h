@@ -18,11 +18,12 @@
 ///     and the flight recorder are off unless started. With all of them
 ///     off, instrumented hot paths cost one relaxed atomic load per site.
 ///
-/// The live monitoring plane (stats_server.h, progress.h, heartbeat.h,
-/// prometheus.h) serves the same registry over loopback HTTP (/metrics
-/// Prometheus exposition, /statusz, /progressz, /healthz), tracks sweep
-/// progress/ETA, and lets crash-safe shards advertise liveness via atomic
-/// heartbeat files. All of it only *reads* experiment state: outputs are
+/// The live monitoring plane (http_server.h, stats_server.h, progress.h,
+/// heartbeat.h, prometheus.h) serves the same registry over loopback HTTP
+/// from one server type with per-job route tables (/metrics, /statusz,
+/// /healthz, /tracez, /slowz shared; /progressz, /blackboxz for sweeps),
+/// tracks sweep progress/ETA, and lets shards advertise liveness via atomic
+/// heartbeat files. It only *reads* experiment state: outputs are
 /// byte-identical with and without the server.
 ///
 /// Kernel profiling (perf_counters.h, perf_profile.h) is the one zone
@@ -41,13 +42,12 @@
 /// it — as JSONL or as a Chrome trace timeline — and /blackboxz tails it
 /// live.
 ///
-/// Request-scoped serving telemetry (request_context.h,
-/// windowed_histogram.h, tail_sampler.h) gives the cohort serving plane
-/// per-request trace ids threaded into the flight recorder, rolling
-/// 10s/1m/5m latency windows (p50/p95/p99, QPS, error rate) on /metrics
-/// and /statusz, and a bounded ring of slow-request phase breakdowns on
-/// /slowz with a /tracez index. See the which-tool-when table in README
-/// "Observability".
+/// Request-scoped telemetry (request_context.h, windowed_histogram.h,
+/// tail_sampler.h), applied by the server to every request: trace ids
+/// threaded into the flight recorder, rolling 10s/1m/5m latency windows
+/// (p50/p95/p99, QPS, error rate) on /metrics and /statusz, and a bounded
+/// ring of slow-request phase breakdowns on /slowz with a /tracez index.
+/// See the which-tool-when table in README "Observability".
 
 #include "obs/bench_report.h"
 #include "obs/flight_recorder.h"

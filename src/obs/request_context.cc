@@ -68,7 +68,7 @@ ScopedRequestContext::ScopedRequestContext(RequestContext& context)
   context.start_micros = util::MonotonicMicros();
   t_request_context = &context;
   FlightRecorder& recorder = FlightRecorder::Global();
-  if (recorder.active()) {
+  if (recorder.active() && context.trace_id != 0) {
     recorder.Record(BlackboxEventType::kRequestStart,
                     {static_cast<double>(context.trace_id)});
   }
@@ -88,7 +88,7 @@ ScopedRequestPhase::~ScopedRequestPhase() {
   const int64_t elapsed = util::MonotonicMicros() - begin_micros_;
   context_->phase_micros[static_cast<size_t>(phase_)] += elapsed;
   FlightRecorder& recorder = FlightRecorder::Global();
-  if (recorder.active()) {
+  if (recorder.active() && context_->trace_id != 0) {
     recorder.Record(BlackboxEventType::kRequestPhase,
                     {static_cast<double>(context_->trace_id),
                      static_cast<double>(static_cast<int>(phase_)),
@@ -100,7 +100,7 @@ void FinishRequest(RequestContext& context, int status) {
   context.status = status;
   context.total_micros = util::MonotonicMicros() - context.start_micros;
   FlightRecorder& recorder = FlightRecorder::Global();
-  if (recorder.active()) {
+  if (recorder.active() && context.trace_id != 0) {
     recorder.Record(BlackboxEventType::kRequestEnd,
                     {static_cast<double>(context.trace_id),
                      static_cast<double>(status),

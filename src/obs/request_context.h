@@ -10,16 +10,17 @@
 
 namespace tdg::obs {
 
-/// Request-scoped tracing (DESIGN.md §14): CohortServer mints one trace id
-/// per accepted request and binds a RequestContext to the worker thread for
-/// the request's lifetime. Layers below (CohortManager, Cohort, the round
+/// Request-scoped tracing (DESIGN.md §14): obs::HttpServer mints one trace
+/// id per accepted request and binds a RequestContext to the worker thread
+/// for the request's lifetime. Layers below (CohortManager, Cohort, the round
 /// core) never see the context type — they open a ScopedRequestPhase, which
 /// charges elapsed time to the bound context if one exists and costs one
 /// thread-local load when none does. Each phase end and the request end are
 /// also stamped into the flight recorder (kRequestStart/Phase/End), so
 /// `tdg_blackbox --trace_id` can pull one request's causal path — including
 /// the kCohortRound records the core emits on the same thread — out of a
-/// black-box dump.
+/// black-box dump. A context whose trace_id is 0 is timed the same way but
+/// stamps nothing into the recorder.
 ///
 /// This is explicit API (no macro): /tracez and /slowz are product surface
 /// like /blackboxz, so tracing keeps working under TDG_OBS_DISABLED.

@@ -1,182 +1,88 @@
 #include "obs/stats_server.h"
 
-#include <utility>
-
-#include "obs/metrics.h"
-#include "obs/obs.h"
-#include "obs/prometheus.h"
-#include "util/file_util.h"
-#include "util/stopwatch.h"
+#include "obs/flight_recorder.h"
+#include "obs/heartbeat.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
 namespace {
 
-// Poll granularity of the accept loop — the latency ceiling on Stop().
-constexpr int kAcceptPollMs = 100;
+// Scrapes are cheap reads; two workers keep one slow /blackboxz from
+// stalling a /metrics scrape.
+constexpr int kWorkers = 2;
 
-/// Read bounds for one monitoring request. Scrapes carry no body, so the
-/// body cap only has to admit the empty one; 2 s total is generous for a
-/// loopback client that is not dead or hostile.
-util::net::HttpLimits RequestLimits() {
-  util::net::HttpLimits limits;
-  limits.max_head_bytes = 16 * 1024;
-  limits.max_body_bytes = 16 * 1024;
-  limits.read_timeout_ms = 2000;
-  return limits;
-}
-
-std::string HttpResponse(int code, const char* reason,
-                         const std::string& content_type,
-                         const std::string& body) {
-  return util::net::BuildHttpResponse(code, reason, content_type, body);
-}
-
-std::string JsonResponse(const util::JsonValue& json) {
-  return HttpResponse(200, "OK", "application/json",
-                      json.SerializePretty() + "\n");
+HttpServer::Routes SweepRoutes(const StatsServer::Options& options) {
+  HttpServer::Routes routes;
+  // The flight recorder's dump is the sweep's run timeline; scrapes stay
+  // out of it and out of the ring slots its workers claim.
+  routes.trace_to_blackbox = false;
+  const ProgressTracker* progress = options.progress != nullptr
+                                        ? options.progress
+                                        : &ProgressTracker::Global();
+  routes.routes.push_back(
+      {"GET", "/progressz", "progressz",
+       [progress](auto&&...) {
+         return util::net::BuildHttpResponse(
+             200, "OK", "application/json",
+             progress->Snapshot().ToJson().SerializePretty() + "\n");
+       }});
+  routes.routes.push_back(
+      {"GET", "/blackboxz", "blackboxz",
+       [path = options.blackbox_path, tail = options.blackbox_tail](auto&&...) {
+         const std::string blackbox_path =
+             !path.empty() ? path : FlightRecorder::Global().path();
+         if (blackbox_path.empty()) {
+           return util::net::BuildHttpResponse(404, "Not Found", "text/plain",
+                                               "no flight recorder active\n");
+         }
+         // Tail the *file*, never the live mapping: a fresh read has no
+         // data race with the writers, and the decoder skips in-flight
+         // records by magic validation. One JSON object per line, oldest
+         // first.
+         auto dump = ReadBlackbox(blackbox_path);
+         if (!dump.ok()) {
+           return util::net::BuildHttpResponse(
+               503, "Service Unavailable", "text/plain",
+               dump.status().ToString() + "\n");
+         }
+         const std::size_t total = dump->events.size();
+         const std::size_t served =
+             tail > 0 && static_cast<std::size_t>(tail) < total
+                 ? static_cast<std::size_t>(tail)
+                 : total;
+         std::string body;
+         for (std::size_t i = total - served; i < total; ++i) {
+           body += BlackboxEventToJson(dump->events[i]).Serialize();
+           body += '\n';
+         }
+         return util::net::BuildHttpResponse(200, "OK", "application/jsonl",
+                                             body);
+       }});
+  // Liveness alone is not health: stale (writer stopped beating) or torn
+  // (crashed host mid-write) heartbeats degrade the probe so an
+  // orchestrator restarts or reschedules the worker; "missing" stays ok.
+  routes.health_problems = [paths = options.heartbeat_paths] {
+    std::string problems;
+    for (const HeartbeatStatus& status : CollectHeartbeats(
+             paths, UnixMillis(), StatsServer::kHeartbeatStaleAfterMs)) {
+      if (status.state == "stale" || status.state == "torn") {
+        problems += util::StrFormat("%s: %s\n", status.path.c_str(),
+                                    status.state.c_str());
+      }
+    }
+    return problems;
+  };
+  return routes;
 }
 
 }  // namespace
 
 util::StatusOr<std::unique_ptr<StatsServer>> StatsServer::Start(
     Options options) {
-  if (options.manifest.git_sha.empty()) {
-    options.manifest = RunManifest::Capture();
-  }
-  std::unique_ptr<StatsServer> server(new StatsServer(std::move(options)));
-  TDG_ASSIGN_OR_RETURN(server->listener_,
-                       util::net::ServerSocket::Listen(
-                           server->options_.port));
-  if (!server->options_.port_file.empty()) {
-    TDG_RETURN_IF_ERROR(util::WriteFileAtomic(
-        server->options_.port_file,
-        std::to_string(server->listener_.port()) + "\n"));
-  }
-  server->start_micros_ = util::MonotonicMicros();
-  server->thread_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
+  std::unique_ptr<StatsServer> server(
+      new StatsServer(options, SweepRoutes(options), kWorkers));
+  TDG_RETURN_IF_ERROR(server->Listen());
   return server;
-}
-
-void StatsServer::Stop() {
-  if (!thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
-  thread_.join();
-  listener_.Close();
-}
-
-void StatsServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto connection = listener_.AcceptWithTimeout(kAcceptPollMs);
-    if (!connection.ok()) return;  // listener broke; nothing to serve
-    if (!connection->is_open()) continue;  // poll timeout — check stop flag
-    HandleConnection(std::move(connection).value());
-  }
-}
-
-void StatsServer::HandleConnection(util::net::Socket connection) {
-  auto request = util::net::ReadHttpRequest(connection, RequestLimits());
-  std::string response;
-  std::string method;
-  std::string path;
-  if (request.ok()) {
-    method = request->method;
-    path = request->path;
-  }
-  if (!request.ok()) {
-    // The shared machinery distinguishes malformed (400) from slow (408),
-    // oversized (413), and unsupported-framing (501) requests; an already
-    // hung-up peer gets the 400 written into the void, which is harmless.
-    response = util::net::BuildHttpErrorResponse(request.status());
-  } else if (method != "GET" && method != "HEAD") {
-    response = HttpResponse(405, "Method Not Allowed", "text/plain",
-                            "only GET is supported\n");
-  } else if (path == "/healthz") {
-    // Liveness alone is not health: fold in the registered shard
-    // heartbeats. Stale (writer stopped beating) or torn (crashed host
-    // mid-write) degrade the probe to 503 so an orchestrator restarts or
-    // reschedules the worker; "missing" stays ok — the shard may simply
-    // not have started writing yet.
-    std::string degraded;
-    if (!options_.heartbeat_paths.empty()) {
-      const std::vector<HeartbeatStatus> fleet = CollectHeartbeats(
-          options_.heartbeat_paths, UnixMillis(),
-          options_.heartbeat_stale_after_ms);
-      for (const HeartbeatStatus& status : fleet) {
-        if (status.state == "stale" || status.state == "torn") {
-          degraded += util::StrFormat("%s: %s\n", status.path.c_str(),
-                                      status.state.c_str());
-        }
-      }
-    }
-    response = degraded.empty()
-                   ? HttpResponse(200, "OK", "text/plain", "ok\n")
-                   : HttpResponse(503, "Service Unavailable", "text/plain",
-                                  "degraded\n" + degraded);
-  } else if (path == "/blackboxz") {
-    const std::string blackbox_path =
-        !options_.blackbox_path.empty() ? options_.blackbox_path
-                                        : FlightRecorder::Global().path();
-    if (blackbox_path.empty()) {
-      response = HttpResponse(404, "Not Found", "text/plain",
-                              "no flight recorder active\n");
-    } else {
-      // Tail the *file*, never the live mapping: a fresh read has no data
-      // race with the writers, and the decoder skips in-flight records by
-      // magic validation. One JSON object per line, oldest first.
-      auto dump = ReadBlackbox(blackbox_path);
-      if (!dump.ok()) {
-        response = HttpResponse(503, "Service Unavailable", "text/plain",
-                                dump.status().ToString() + "\n");
-      } else {
-        std::string body;
-        const std::size_t total = dump->events.size();
-        const std::size_t tail =
-            options_.blackbox_tail > 0 &&
-                    static_cast<std::size_t>(options_.blackbox_tail) < total
-                ? static_cast<std::size_t>(options_.blackbox_tail)
-                : total;
-        for (std::size_t i = total - tail; i < total; ++i) {
-          body += BlackboxEventToJson(dump->events[i]).Serialize();
-          body += '\n';
-        }
-        response = HttpResponse(200, "OK", "application/jsonl", body);
-      }
-    }
-  } else if (path == "/metrics") {
-    // Refresh the process gauges (uptime, peak RSS) so every scrape carries
-    // them. Gauge::Set is a no-op under SetMetricsEnabled(false) — exactly
-    // the runs that demand byte-stable outputs.
-    RefreshProcessGauges();
-    response = HttpResponse(
-        200, "OK", kPrometheusContentType,
-        RenderPrometheusText(MetricsRegistry::Global().Snapshot()));
-  } else if (path == "/statusz") {
-    util::JsonValue json = util::JsonValue::MakeObject();
-    json.Set("manifest", options_.manifest.ToJson());
-    json.Set("uptime_seconds",
-             static_cast<double>(util::MonotonicMicros() -
-                                 start_micros_) /
-                 1e6);
-    json.Set("peak_rss_bytes",
-             static_cast<long long>(ProcessPeakRssBytes()));
-    json.Set("requests_served",
-             static_cast<long long>(requests_served()));
-    json.Set("port", listener_.port());
-    response = JsonResponse(json);
-  } else if (path == "/progressz") {
-    const ProgressTracker* progress =
-        options_.progress != nullptr ? options_.progress
-                                     : &ProgressTracker::Global();
-    response = JsonResponse(progress->Snapshot().ToJson());
-  } else {
-    response = HttpResponse(
-        404, "Not Found", "text/plain",
-        "not found; try /healthz /metrics /statusz /progressz "
-        "/blackboxz\n");
-  }
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  (void)connection.WriteAll(response);  // peer may have hung up; that's fine
 }
 
 }  // namespace tdg::obs

@@ -1,59 +1,44 @@
 #ifndef TDG_OBS_STATS_SERVER_H_
 #define TDG_OBS_STATS_SERVER_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "obs/http_server.h"
 #include "obs/progress.h"
-#include "obs/run_manifest.h"
-#include "util/net.h"
 #include "util/statusor.h"
 
 namespace tdg::obs {
 
-/// Embedded HTTP/1.1 stats server (DESIGN.md §9) — the live-monitoring
-/// counterpart of the post-mortem exporters. One dedicated accept-loop
-/// thread, blocking sockets, loopback only, `Connection: close` per
-/// request. Off by default; when not started it costs nothing, and when
-/// started it only *reads* the metrics registry / progress tracker, so
-/// sweep outputs are byte-identical with and without it (asserted by
-/// StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
+/// The sweep's live-monitoring server (DESIGN.md §9): obs::HttpServer with
+/// the sweep's route table. Off by default; when not started it costs
+/// nothing, and when started it only *reads* the metrics registry /
+/// progress tracker, so sweep outputs are byte-identical with and without
+/// it (asserted by StatsServerTest.SweepOutputsAreByteIdenticalWithServerOn).
 ///
-/// Endpoints:
-///   /healthz    200 "ok" — liveness probe; 503 "degraded" when any
-///               registered shard heartbeat is stale or torn
-///   /metrics    Prometheus text exposition of the metrics registry
-///               (see obs/prometheus.h), plus process_uptime_seconds
-///   /statusz    JSON: run manifest, uptime, requests served
+/// On top of the shared endpoints (/healthz /metrics /statusz /tracez
+/// /slowz, see http_server.h):
+///   /healthz    503 "degraded" when any registered shard heartbeat is
+///               stale or torn
 ///   /progressz  JSON: ProgressTracker snapshot (cells done/total, EWMA
 ///               latency, ETA, current grid coordinates)
 ///   /blackboxz  JSONL tail of the flight recorder's live dump (see
 ///               obs/flight_recorder.h)
-class StatsServer {
+class StatsServer : public HttpServer {
  public:
-  struct Options {
-    /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (see
-    /// port()).
-    int port = 0;
-    /// When non-empty, the bound port is written here (atomic replace) —
-    /// how scripts discover an ephemeral port.
-    std::string port_file;
-    /// Provenance served on /statusz. Captured at Start when left
-    /// default-constructed (empty git_sha).
-    RunManifest manifest;
+  /// A heartbeat updated longer ago than this degrades /healthz.
+  static constexpr long long kHeartbeatStaleAfterMs = 15000;
+
+  struct Options : HttpServer::Options {
     /// Progress source for /progressz; the global tracker when null.
     const ProgressTracker* progress = nullptr;
     /// Heartbeat files /healthz folds into its verdict: "ok" while every
     /// present heartbeat is fresh, "degraded" (HTTP 503) once any is stale
-    /// (updated older than heartbeat_stale_after_ms) or torn. A heartbeat
-    /// that does not exist yet counts as ok — the shard may simply not
-    /// have started. Empty (the default) keeps /healthz unconditional.
+    /// or torn. A heartbeat that does not exist yet counts as ok — the
+    /// shard may simply not have started. Empty (the default) keeps
+    /// /healthz unconditional.
     std::vector<std::string> heartbeat_paths;
-    long long heartbeat_stale_after_ms = 15000;
     /// Dump file tailed by /blackboxz; the global FlightRecorder's active
     /// path when empty.
     std::string blackbox_path;
@@ -61,38 +46,12 @@ class StatsServer {
     int blackbox_tail = 256;
   };
 
-  /// Binds, writes the port file, and launches the accept loop.
+  /// Binds, writes the port file, and launches the server.
   static util::StatusOr<std::unique_ptr<StatsServer>> Start(
       Options options);
 
-  ~StatsServer() { Stop(); }
-
-  StatsServer(const StatsServer&) = delete;
-  StatsServer& operator=(const StatsServer&) = delete;
-
-  /// The actually bound port (resolves port 0 requests).
-  int port() const { return listener_.port(); }
-
-  int64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
-  /// Stops the accept loop and joins the thread. Idempotent.
-  void Stop();
-
  private:
-  explicit StatsServer(Options options)
-      : options_(std::move(options)) {}
-
-  void AcceptLoop();
-  void HandleConnection(util::net::Socket connection);
-
-  Options options_;
-  util::net::ServerSocket listener_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> requests_served_{0};
-  int64_t start_micros_ = 0;
+  using HttpServer::HttpServer;
 };
 
 }  // namespace tdg::obs

@@ -1,37 +1,24 @@
 #ifndef TDG_SERVE_COHORT_SERVER_H_
 #define TDG_SERVE_COHORT_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/run_manifest.h"
+#include "obs/http_server.h"
 #include "obs/tail_sampler.h"
 #include "serve/cohort_manager.h"
-#include "util/net.h"
 #include "util/statusor.h"
 
 namespace tdg::serve {
 
-/// The grouping-as-a-service front end (DESIGN.md §13): an HTTP/1.1 server
-/// over a CohortManager, built on the same util::net machinery as
-/// obs::StatsServer but with a worker pool — cohort operations take locks
-/// and write journals, so one slow request must not head-of-line-block the
-/// monitoring scrapes. One accept-loop thread hands connections to
-/// `num_workers` handler threads; loopback only, `Connection: close`.
+/// The grouping-as-a-service front end (DESIGN.md §13): obs::HttpServer
+/// with the cohort route table over a CohortManager. Cohort operations take
+/// locks and write journals, so the server runs `num_workers` handler
+/// threads and one slow request does not head-of-line-block the monitoring
+/// scrapes.
 ///
-/// Endpoints (JSON in, JSON out):
-///   GET  /healthz                    200 "ok"
-///   GET  /metrics                    Prometheus text (registry + serve
-///                                    gauges: cohorts, resident
-///                                    participants)
-///   GET  /statusz                    manifest + uptime + request counts
+/// Endpoints (JSON in, JSON out), on top of the shared /healthz /metrics
+/// /statusz /tracez /slowz (see obs/http_server.h; /metrics and /statusz
+/// add the `cohorts` and `resident_participants` gauges):
 ///   GET  /cohorts                    {"cohorts":[summary...]}
 ///   POST /cohorts                    {"id","config","participants"} → 201
 ///   GET  /cohorts/<id>               one summary
@@ -40,28 +27,16 @@ namespace tdg::serve {
 ///                                    (CohortRoundToJson)
 ///   POST /cohorts/<id>/join          {"key","skill"}
 ///   POST /cohorts/<id>/leave         {"key"}
-///   GET  /tracez                     {"traces":[...]} — recently completed
-///                                    requests with their trace ids
-///   GET  /slowz                      JSONL, one slow/sampled request per
-///                                    line with the per-phase breakdown
 ///
-/// Error mapping: read/parse failures use util::net's contract (400 / 408 /
-/// 413 / 501); application errors map NotFound → 404, FailedPrecondition
-/// → 409, InvalidArgument → 400, anything else → 500. Every response
-/// carries {"error": message} JSON.
-class CohortServer {
+/// Error mapping: application errors map NotFound → 404,
+/// FailedPrecondition → 409, InvalidArgument → 400, anything else → 500,
+/// each with an {"error": message} JSON body.
+class CohortServer : public obs::HttpServer {
  public:
-  struct Options {
-    /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
-    int port = 0;
-    /// When non-empty, the bound port is written here (atomic replace).
-    std::string port_file;
-    /// Handler threads. Requests queue (unbounded) when all are busy.
+  struct Options : obs::HttpServer::Options {
+    /// Handler threads. Up to HttpServer::kQueueSlotsPerWorker per worker
+    /// wait in the queue when all are busy; beyond that, 503.
     int num_workers = 4;
-    /// Per-request read bounds (the fuzz/battery knobs).
-    util::net::HttpLimits limits;
-    /// Provenance served on /statusz; captured at Start when left default.
-    obs::RunManifest manifest;
     /// Tail-sampling knobs for /slowz and /tracez (threshold, 1-in-N
     /// sample, ring capacities).
     obs::TailSampler::Options tail;
@@ -72,50 +47,8 @@ class CohortServer {
   static util::StatusOr<std::unique_ptr<CohortServer>> Start(
       CohortManager* manager, Options options);
 
-  ~CohortServer() { Stop(); }
-
-  CohortServer(const CohortServer&) = delete;
-  CohortServer& operator=(const CohortServer&) = delete;
-
-  /// The actually bound port (resolves port 0 requests).
-  int port() const { return listener_.port(); }
-
-  int64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
-  /// The /slowz + /tracez sampler (exposed for tests).
-  const obs::TailSampler& tail_sampler() const { return tail_sampler_; }
-
-  /// Stops accepting, drains queued connections, joins all threads.
-  /// Idempotent.
-  void Stop();
-
  private:
-  CohortServer(CohortManager* manager, Options options)
-      : manager_(manager),
-        options_(std::move(options)),
-        tail_sampler_(options_.tail) {}
-
-  void AcceptLoop();
-  void WorkerLoop();
-  void HandleConnection(util::net::Socket connection);
-  std::string Route(const util::net::HttpRequest& request,
-                    std::string* endpoint_label);
-
-  CohortManager* manager_;  // not owned
-  Options options_;
-  obs::TailSampler tail_sampler_;  // after options_: initialized from tail
-  util::net::ServerSocket listener_;
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> requests_served_{0};
-  int64_t start_micros_ = 0;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<util::net::Socket> queue_;
+  using obs::HttpServer::HttpServer;
 };
 
 }  // namespace tdg::serve

@@ -1,5 +1,6 @@
 #include "util/net.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cctype>
 #include <cerrno>
@@ -44,6 +45,22 @@ int RemainingMs(int64_t deadline_micros) {
   return static_cast<int>((left + 999) / 1000);
 }
 
+/// One recv of up to `size` bytes, waiting at most until `deadline` (see
+/// DeadlineFor). Returns the byte count, 0 when the peer closed;
+/// FailedPrecondition once the deadline passes.
+StatusOr<size_t> RecvBefore(int fd, char* data, size_t size,
+                            int64_t deadline) {
+  for (;;) {
+    const int remaining = RemainingMs(deadline);
+    if (remaining == 0) return Status::FailedPrecondition("read timed out");
+    TDG_ASSIGN_OR_RETURN(bool readable, PollReadable(fd, remaining));
+    if (!readable) return Status::FailedPrecondition("read timed out");
+    const ssize_t n = ::recv(fd, data, size, 0);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno != EINTR) return Errno("recv");
+  }
+}
+
 }  // namespace
 
 StatusOr<bool> PollReadable(int fd, int timeout_ms) {
@@ -76,6 +93,11 @@ void Socket::Close() {
   }
 }
 
+void Socket::CloseAfterResponse() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+  Close();
+}
+
 Status Socket::WriteAll(std::string_view data) {
   if (fd_ < 0) return Status::FailedPrecondition("socket is closed");
   size_t written = 0;
@@ -102,23 +124,10 @@ StatusOr<std::string> Socket::ReadUntil(std::string_view delimiter,
       return Status::OutOfRange(StrFormat(
           "no delimiter within %zu bytes", max_bytes));
     }
-    const int remaining = RemainingMs(deadline);
-    if (remaining == 0) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    TDG_ASSIGN_OR_RETURN(bool readable, PollReadable(fd_, remaining));
-    if (!readable) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("recv");
-    }
-    if (n == 0) {
-      return Status::NotFound("peer closed before delimiter");
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
+    TDG_ASSIGN_OR_RETURN(size_t n,
+                         RecvBefore(fd_, chunk, sizeof(chunk), deadline));
+    if (n == 0) return Status::NotFound("peer closed before delimiter");
+    buffer.append(chunk, n);
   }
   return buffer;
 }
@@ -133,21 +142,10 @@ StatusOr<std::string> Socket::ReadToEof(size_t max_bytes, int timeout_ms) {
       return Status::OutOfRange(
           StrFormat("response exceeds %zu bytes", max_bytes));
     }
-    const int remaining = RemainingMs(deadline);
-    if (remaining == 0) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    TDG_ASSIGN_OR_RETURN(bool readable, PollReadable(fd_, remaining));
-    if (!readable) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("recv");
-    }
+    TDG_ASSIGN_OR_RETURN(size_t n,
+                         RecvBefore(fd_, chunk, sizeof(chunk), deadline));
     if (n == 0) return buffer;
-    buffer.append(chunk, static_cast<size_t>(n));
+    buffer.append(chunk, n);
   }
 }
 
@@ -377,42 +375,35 @@ StatusOr<HttpRequest> ReadHttpRequest(Socket& socket,
     return Status::InvalidArgument("body bytes without Content-Length");
   }
 
-  char chunk[4096];
-  while (request.body.size() < content_length) {
-    const int remaining = RemainingMs(deadline);
-    if (remaining == 0) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    TDG_ASSIGN_OR_RETURN(bool readable,
-                         PollReadable(socket.fd(), remaining));
-    if (!readable) {
-      return Status::FailedPrecondition("read timed out");
-    }
-    const ssize_t n = ::recv(socket.fd(), chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("recv");
-    }
+  // The body lands straight in its final buffer: size it to the declared
+  // length once, then recv into the unfilled tail. Bytes the head read took
+  // past the declared length are dropped: every server here is
+  // Connection: close, so those bytes answer nothing.
+  size_t received = std::min(request.body.size(), content_length);
+  request.body.resize(content_length);
+  while (received < content_length) {
+    TDG_ASSIGN_OR_RETURN(
+        size_t n, RecvBefore(socket.fd(), request.body.data() + received,
+                             content_length - received, deadline));
     if (n == 0) {
       return Status::NotFound("peer closed before the declared body");
     }
-    request.body.append(chunk, static_cast<size_t>(n));
+    received += n;
   }
-  // A client pipelining past its declared length gets the excess dropped:
-  // every server here is Connection: close, so those bytes answer nothing.
-  request.body.resize(content_length);
   return request;
 }
 
 std::string BuildHttpResponse(int code, std::string_view reason,
                               std::string_view content_type,
-                              std::string_view body) {
+                              std::string_view body,
+                              std::string_view extra_headers) {
   std::string response = StrFormat(
       "HTTP/1.1 %d %.*s\r\nContent-Type: %.*s\r\nContent-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
+      "%.*sConnection: close\r\n\r\n",
       code, static_cast<int>(reason.size()), reason.data(),
       static_cast<int>(content_type.size()), content_type.data(),
-      body.size());
+      body.size(), static_cast<int>(extra_headers.size()),
+      extra_headers.data());
   response.append(body.data(), body.size());
   return response;
 }

@@ -12,8 +12,8 @@
 
 namespace tdg::util::net {
 
-/// Minimal blocking TCP primitives for the embedded HTTP servers
-/// (obs::StatsServer, serve::CohortServer) and their tests. Dependency-free
+/// Minimal blocking TCP primitives for the embedded HTTP server
+/// (obs::HttpServer) and its tests. Dependency-free
 /// POSIX sockets; the library targets linux. Everything binds/connects
 /// loopback only — the endpoints carry no authentication, so they are
 /// deliberately not reachable from other hosts (DESIGN.md §9).
@@ -37,6 +37,10 @@ class Socket {
   bool is_open() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void Close();
+
+  /// Sends FIN before closing, so a peer whose request went unread still
+  /// reads the response, then EOF, rather than losing it to the RST.
+  void CloseAfterResponse();
 
   /// Writes all of `data`, retrying partial writes. SIGPIPE is suppressed
   /// (MSG_NOSIGNAL); a peer that hung up surfaces as IOError.
@@ -141,9 +145,11 @@ StatusOr<HttpRequest> ReadHttpRequest(Socket& socket,
 
 /// Serializes a complete HTTP/1.1 response with Content-Length and
 /// `Connection: close` (every server here is one-request-per-connection).
+/// `extra_headers` are inserted verbatim, each line ending in "\r\n".
 std::string BuildHttpResponse(int code, std::string_view reason,
                               std::string_view content_type,
-                              std::string_view body);
+                              std::string_view body,
+                              std::string_view extra_headers = {});
 
 /// The error response for a failed ReadHttpRequest, per the mapping above
 /// (unlisted codes become a 500).

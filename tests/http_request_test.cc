@@ -93,6 +93,24 @@ TEST(HttpRequestTest, BodySplitAcrossPacketsIsReassembled) {
   EXPECT_EQ(request->body, "abcdefghijklmnopqrstuvwxyz");
 }
 
+TEST(HttpRequestTest, LargeBodyArrivingInSeveralWritesParsesByteExact) {
+  // Bigger than any one recv and than the head read's over-read, arriving
+  // in several writes: every byte must land at its offset.
+  std::string body(100 * 1000, '\0');
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>((i * 131 + i / 977) % 256);
+  }
+  const std::string wire = "POST /cohorts HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" + body;
+  HttpLimits limits = TestLimits();
+  limits.max_body_bytes = 1 << 20;
+  auto request = ParseWire(wire, limits, /*chunk_size=*/24 * 1024,
+                           /*chunk_delay_ms=*/5);
+  ASSERT_TRUE(request.ok()) << request.status();
+  ASSERT_EQ(request->body.size(), body.size());
+  EXPECT_TRUE(request->body == body) << "body bytes differ";
+}
+
 TEST(HttpRequestTest, MissingContentLengthMeansEmptyBody) {
   auto request = ParseWire("GET /healthz HTTP/1.1\r\n\r\n", TestLimits());
   ASSERT_TRUE(request.ok()) << request.status();

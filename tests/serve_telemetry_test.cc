@@ -253,7 +253,9 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
   ASSERT_EQ(*util::net::HttpStatusCode(
                 *util::net::HttpGet(port(), "/healthz")),
             200);
-  // Same post-write race as /metrics: poll until the healthz window lands.
+  // Same post-write race as /metrics, twice over: the window is registered
+  // a moment before the healthz request is recorded into it, so poll until
+  // the record itself lands, not just the window.
   std::string body;
   ASSERT_TRUE(Eventually([&] {
     auto response = util::net::HttpGet(port(), "/statusz");
@@ -264,8 +266,14 @@ TEST_F(ServeTelemetryTest, StatuszCarriesTheWindowsTable) {
     auto probe = util::JsonValue::Parse(body);
     if (!probe.ok()) return false;
     auto probe_windows = probe->GetField("windows");
-    return probe_windows.ok() && (*probe_windows)->GetField("healthz").ok();
-  })) << "healthz window never appeared on /statusz";
+    if (!probe_windows.ok()) return false;
+    auto probe_healthz = (*probe_windows)->GetField("healthz");
+    if (!probe_healthz.ok()) return false;
+    auto probe_minute = (*probe_healthz)->GetField("1m");
+    if (!probe_minute.ok()) return false;
+    auto probe_count = (*probe_minute)->GetField("count");
+    return probe_count.ok() && (*probe_count)->AsNumber() >= 1.0;
+  })) << "healthz window never recorded a request on /statusz";
   auto json = util::JsonValue::Parse(body);
   ASSERT_TRUE(json.ok()) << json.status();
   auto windows = json->GetField("windows");
