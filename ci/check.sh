@@ -21,11 +21,12 @@
 #            itself expecting a clean all-unchanged pass — the end-to-end
 #            smoke test of the perf telemetry pipeline
 #   crash-resume  AddressSanitizer build with the fault-injection hooks
-#            compiled in; runs the crash/torn-write/shard-planner/death
-#            suites, then a CLI-level e2e: kill a sweep shard mid-run via
-#            TDG_TEST_CRASH_AFTER_CELLS, resume it, run the sibling shard,
-#            tdg_sweepmerge the checkpoints, and require the merged
-#            CSV/JSON to be byte-identical to an uninterrupted run
+#            compiled in; runs the crash/torn-write/shard-planner/
+#            shared-cell-loop/death suites, then a CLI-level e2e: kill a
+#            sweep shard mid-run via TDG_TEST_CRASH_AFTER_CELLS, resume
+#            it, run the sibling shard, tdg_sweepmerge the checkpoints,
+#            and require the merged CSV/JSON to be byte-identical to an
+#            uninterrupted run
 #   monitor  live-monitoring e2e (DESIGN.md §9): run the monitoring test
 #            suites under asan and tsan, then start a sweep with
 #            --stats_port=0 --progress --heartbeat, curl /healthz /metrics
@@ -40,8 +41,8 @@
 #            and require sweep outputs to be byte-identical with
 #            profiling on vs off
 #   soa      structure-of-arrays fast-path gate (DESIGN.md §11): runs the
-#            differential-oracle, edge, summation-order, and golden suites
-#            under ASan and UBSan, then a bench smoke:
+#            differential-oracle, carried-order, edge, summation-order, and
+#            golden suites under ASan and UBSan, then a bench smoke:
 #            records a profiled bench_soa_kernels report and self-diffs it
 #            with tdg_perfdiff on wall time and on an instruction counter,
 #            falling back to task_clock_ns on hosts without a PMU
@@ -116,7 +117,7 @@ ctest_args() {
       echo "-R ThreadPool|ParallelFor|Obs|Sweep|Logging|ParallelSolver|ParserFuzz|BranchBound|BruteForce|SimulatedAnnealing|WorkStealQueue|FileUtil|Net|StatsServer|Prometheus|Progress|Heartbeat|Soa|Arena|SummationOrder|FlightRecorder|Blackbox|RecordRing|MmapFile|Serve|HttpRequest|RequestContext|Windowed|TailSampler"
       ;;
     crash-resume)
-      echo "-R SweepShard|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
+      echo "-R SweepShard|SweepCells|SweepCrash|SweepTornWrite|FileUtil|CheckDeathTest|LoggingDeathTest"
       ;;
     *) echo "" ;;
   esac
@@ -401,9 +402,10 @@ EOF
 
 run_soa() {
   # Every suite that pins the SoA fast path: the AoS-vs-SoA differential
-  # oracle, alignment/aliasing/shape edge cases, the summation-order pins,
-  # and the byte-identical sweep goldens + execution-path invariance.
-  local filter='Soa|Arena|SummationOrder|SortEdge|Subspan|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|Invariance'
+  # oracle, the carried rank order across fused rounds, alignment/aliasing/
+  # shape edge cases, the summation-order pins, and the byte-identical sweep
+  # goldens + execution-path invariance.
+  local filter='Soa|CarriedOrder|Arena|SummationOrder|SortEdge|Subspan|DyGroupsRoundEdge|GroupRoundMembersEdge|SweepGolden|Invariance'
 
   for san in address undefined; do
     local build_dir="build-ci/soa-${san}"

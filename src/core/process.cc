@@ -58,6 +58,17 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
                  fused ? 1.0 : 0.0);
   }
 
+  // The fused rounds hand their rank order from one round to the next
+  // through two record buffers taken once for the whole process
+  // (soa::CarriedOrder); the outer scope releases them when it returns.
+  soa::Arena& arena = soa::ThreadLocalArena();
+  soa::ArenaScope process_scope(arena);
+  soa::CarriedOrder carried;
+  if (fused) {
+    carried.records = arena.Alloc<soa::KeyId>(skills.size());
+    carried.spare = arena.Alloc<soa::KeyId>(skills.size());
+  }
+
   for (int t = 0; t < config.num_rounds; ++t) {
     double round_gain;
     if (fused) {
@@ -65,8 +76,8 @@ util::StatusOr<ProcessResult> RunProcess(const SkillVector& initial_skills,
           kind == PolicyKernelKind::kDyGroupsStar
               ? soa::DyGroupsLayout::kStarBlocks
               : soa::DyGroupsLayout::kRoundRobin,
-          config.mode, gain, skills, config.num_groups,
-          soa::ThreadLocalArena(), blackbox ? &introspection : nullptr);
+          config.mode, gain, skills, config.num_groups, arena,
+          blackbox ? &introspection : nullptr, &carried);
       if (!gain_or.ok()) return gain_or.status();
       round_gain = gain_or.value();
     } else {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <new>
+#include <optional>
 
 #include "core/skills.h"
 #include "obs/obs.h"
@@ -159,19 +160,8 @@ inline double SkillFromKey(uint64_t key) {
   return std::bit_cast<double>(bits);
 }
 
-// A 12-byte sort record. The 64-bit DescendingKey is stored as two 32-bit
-// halves so the struct has 4-byte alignment and no padding: every scatter
-// pass moves 25% fewer bytes than a {uint64_t, uint32_t} pair would. `hi`
-// holds the sign, the exponent and the 20 leading mantissa bits.
-struct KeyId {
-  uint32_t hi;
-  uint32_t lo;
-  uint32_t id;
-
-  uint64_t key() const { return (uint64_t{hi} << 32) | lo; }
-};
-static_assert(sizeof(KeyId) == 12);
-
+// KeyId (soa.h) packs the key into two 32-bit halves: every scatter pass
+// moves 25% fewer bytes than a {uint64_t, uint32_t} pair would.
 inline KeyId MakeKeyId(double skill, uint32_t id) {
   const uint64_t key = DescendingKey(skill);
   return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key), id};
@@ -191,9 +181,10 @@ struct KeyIdLess {
 // histograms).
 constexpr size_t kRadixMinN = 2048;
 
-// From here up, a single MSD bucket pass (256KB table from the arena) beats
-// LSD: one scatter over a few hundred active streams replaces six-plus
-// 256-stream passes, and the buckets it leaves are cache-resident.
+// From here up, two stable 16-bit LSD passes over `hi` (two 2^16-entry
+// count tables, 512KB from the arena) plus a repair scan of equal-`hi` runs
+// beat the 8-bit LSD over the full key, which needs six or more 256-bucket
+// passes at this size (WideSortKeyIds).
 constexpr size_t kRadixWideMinN = 48 * 1024;
 
 // Runs of equal top-32 key bits at least this long are finished by a radix
@@ -344,15 +335,72 @@ void StableSortIds(std::span<const double> skills, std::span<int> ids) {
   });
 }
 
+// Carried tier: if `records` splits into at most kMaxCarriedRuns strictly
+// ascending runs of the (key, id) order, merges them pairwise through
+// `spare` and returns the sorted records. Merging strictly ordered runs
+// yields the unique sorted permutation, the one any other tier produces.
+// Returns nullopt, with `records` untouched, past the cap.
+std::optional<SortedKeyIds> MergeCarriedRuns(std::span<KeyId> records,
+                                             std::span<KeyId> spare) {
+  const size_t n = records.size();
+  size_t bounds[kMaxCarriedRuns + 1] = {0};
+  size_t num_runs = 1;
+  for (size_t i = 1; i < n; ++i) {
+    if (KeyIdLess{}(records[i - 1], records[i])) continue;
+    if (num_runs == kMaxCarriedRuns) return std::nullopt;
+    bounds[num_runs++] = i;
+  }
+  bounds[num_runs] = n;
+  KeyId* src = records.data();
+  KeyId* dst = spare.data();
+  while (num_runs > 1) {
+    // An odd last run merges with an empty one, i.e. is copied across.
+    size_t merged = 0;
+    for (size_t r = 0; r < num_runs; r += 2) {
+      const size_t begin = bounds[r];
+      const size_t mid = bounds[std::min(r + 1, num_runs)];
+      const size_t end = bounds[std::min(r + 2, num_runs)];
+      std::merge(src + begin, src + mid, src + mid, src + end, dst + begin,
+                 KeyIdLess{});
+      bounds[merged++] = begin;
+    }
+    bounds[merged] = n;
+    num_runs = merged;
+    std::swap(src, dst);
+  }
+  return src == records.data() ? SortedKeyIds{records, spare}
+                               : SortedKeyIds{spare, records};
+}
+
 // Shared engine: sorts (DescendingKey(skill), id) records into ascending
 // (key, id) order — exactly the reference stable_sort permutation, with the
-// skill value recoverable from the key (see SkillFromKey). Allocates from
-// `arena`; the caller owns the enclosing ArenaScope.
-SortedKeyIds SortKeyIds(std::span<const double> skills, Arena& arena) {
+// skill value recoverable from the key (see SkillFromKey). With `carried`,
+// merges its order when that tier applies and otherwise sorts into its two
+// buffers, dropping the carried order once it has more runs than the cap;
+// without, allocates both from `arena`. The caller owns the enclosing
+// ArenaScope.
+SortedKeyIds SortKeyIds(std::span<const double> skills,
+                        CarriedOrder* carried, Arena& arena) {
   TDG_PERF_SCOPE("core/skills/sort");
   const size_t n = skills.size();
-  std::span<KeyId> a = arena.Alloc<KeyId>(n);
-  std::span<KeyId> b = arena.Alloc<KeyId>(n);
+  std::span<KeyId> a;
+  std::span<KeyId> b;
+  if (carried != nullptr) {
+    TDG_CHECK_EQ(carried->records.size(), n);
+    TDG_CHECK_EQ(carried->spare.size(), n);
+    if (carried->primed) {
+      if (std::optional<SortedKeyIds> merged =
+              MergeCarriedRuns(carried->records, carried->spare)) {
+        return *merged;
+      }
+      carried->dropped = true;
+    }
+    a = carried->records;
+    b = carried->spare;
+  } else {
+    a = arena.Alloc<KeyId>(n);
+    b = arena.Alloc<KeyId>(n);
+  }
   if (n < kRadixMinN) {
     // Keys are materialized after the id sort for callers that reconstruct
     // skill values from them.
@@ -384,7 +432,7 @@ void SortIdsByskillDescending(std::span<const double> skills,
     return;
   }
   ArenaScope scope(arena);
-  std::span<KeyId> sorted = SortKeyIds(skills, arena).sorted;
+  std::span<KeyId> sorted = SortKeyIds(skills, nullptr, arena).sorted;
   for (size_t i = 0; i < n; ++i) ids_out[i] = static_cast<int>(sorted[i].id);
 }
 
@@ -534,7 +582,8 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
                                      const LearningGainFunction& gain,
                                      std::span<double> skills, int num_groups,
                                      Arena& arena,
-                                     RoundIntrospection* introspect) {
+                                     RoundIntrospection* introspect,
+                                     CarriedOrder* carried) {
   TDG_RETURN_IF_ERROR(ValidateSkills(skills));
   const int n = static_cast<int>(skills.size());
   if (num_groups < 1) {
@@ -552,8 +601,9 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
   }
   const int group_size = n / num_groups;
   ArenaScope scope(arena);
-  SortedKeyIds records = SortKeyIds(skills, arena);
-  std::span<const KeyId> pairs = records.sorted;
+  SortedKeyIds records = SortKeyIds(skills, carried, arena);
+  const bool carry = carried != nullptr && !carried->dropped;
+  std::span<KeyId> pairs = records.sorted;
   // Rank-order skill values come from inverting the sort keys — a
   // sequential sweep instead of an n-wide random gather through `skills` —
   // and are written into the sort's spare buffer.
@@ -612,19 +662,33 @@ util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
       if (introspect != nullptr) {
         introspect->group_gains[static_cast<std::size_t>(g)] = group_gain;
       }
+      // Each learner's record, at its rank, takes the key of the skill it
+      // was just updated to: the order the next round starts from.
+      auto update = [&](KeyId& record, double learner_gain) {
+        double& skill = skills[record.id];
+        skill += learner_gain;
+        if (carry) record = MakeKeyId(skill, record.id);
+      };
       if (layout == DyGroupsLayout::kStarBlocks) {
         const size_t block = static_cast<size_t>(num_groups) +
                              static_cast<size_t>(g) * (t - 1);
         for (size_t j = 1; j < t; ++j) {
-          skills[pairs[block + (j - 1)].id] += gains[j];
+          update(pairs[block + (j - 1)], gains[j]);
         }
       } else {
         for (size_t j = 1; j < t; ++j) {
-          skills[pairs[static_cast<size_t>(g) +
-                       j * static_cast<size_t>(num_groups)].id] += gains[j];
+          update(pairs[static_cast<size_t>(g) +
+                       j * static_cast<size_t>(num_groups)],
+                 gains[j]);
         }
       }
     }
+  }
+  if (carried != nullptr) {
+    // Teachers kept their skills, so their keys stand as they are.
+    carried->records = records.sorted;
+    carried->spare = records.spare;
+    carried->primed = carry;
   }
   if (mode == InteractionMode::kStar) {
     TDG_OBS_COUNTER_ADD("interaction/star_group_updates", updated_groups);

@@ -134,11 +134,25 @@ double OrderedSum(std::span<const double> x);
 // Sort
 // ---------------------------------------------------------------------------
 
+/// A 12-byte sort record: a participant's 64-bit descending skill key (its
+/// ascending uint64 order is descending skill order) stored as two 32-bit
+/// halves, so the struct has 4-byte alignment and no padding, plus the
+/// participant id. `hi` holds the sign, the exponent and the 20 leading
+/// mantissa bits.
+struct KeyId {
+  uint32_t hi;
+  uint32_t lo;
+  uint32_t id;
+
+  uint64_t key() const { return (uint64_t{hi} << 32) | lo; }
+};
+static_assert(sizeof(KeyId) == 12);
+
 /// Fills ids_out (size n) with participant ids ordered by descending skill,
 /// ties by ascending id — the exact permutation of the reference
-/// std::stable_sort. Large inputs take an 8-pass LSD radix sort over
-/// order-preserving key encodings of the doubles (skipping constant-byte
-/// passes); small inputs sort (key, id) pairs directly. Precondition:
+/// std::stable_sort. Inputs of 2048 or more take an LSD radix sort over
+/// order-preserving key encodings of the doubles (skipping constant-digit
+/// passes); smaller ones stable-sort the ids directly. Precondition:
 /// NaN-free input (the reference comparator is undefined on NaN too).
 void SortIdsByskillDescending(std::span<const double> skills,
                               std::span<int> ids_out, Arena& arena);
@@ -190,6 +204,29 @@ struct RoundIntrospection {
   std::vector<double> group_gains;
 };
 
+/// The rank order one fused round hands to the next (DESIGN.md §11): two
+/// buffers of n records that the caller takes from an arena once per
+/// process. After a round, `records` holds that round's rank order with
+/// every learner's key rewritten from its post-round skill at its update
+/// site. The next round counts the strictly ascending (key, id) runs in it:
+/// up to kMaxCarriedRuns, it merges them instead of sorting from scratch;
+/// past that, it sorts `skills` afresh into the same two buffers and drops
+/// the carried order, so later rounds skip the key rewrites no round would
+/// read. `spare` is scratch of the same size.
+struct CarriedOrder {
+  std::span<KeyId> records;
+  std::span<KeyId> spare;
+  /// Set by DyGroupsRound once `records` holds a round's order; false
+  /// means the next round sorts `skills` afresh.
+  bool primed = false;
+  /// Set by the first round that found more runs than kMaxCarriedRuns.
+  bool dropped = false;
+};
+
+/// Beyond this many natural runs, merging a carried order costs more passes
+/// than sorting afresh.
+inline constexpr size_t kMaxCarriedRuns = 8;
+
 /// One fused DyGroups round: sorts `skills`, forms the layout implicitly
 /// (no Grouping materialization), applies the `mode` interaction update in
 /// place and returns the round gain LG(G_t). Bitwise-identical to
@@ -198,13 +235,18 @@ struct RoundIntrospection {
 /// when the policy declares a DyGroups kernel kind and history recording is
 /// off; also the subject of bench_soa_kernels. `introspect`, when non-null,
 /// receives the implicit membership and per-group gains as pure extra
-/// outputs.
+/// outputs. `carried`, when non-null, must be fresh or have been used only
+/// by earlier rounds over the same `skills`, which nothing else changed in
+/// between (RunProcess's loop): the round reads its rank order from there
+/// when it can and leaves its own order in it. The round's results are
+/// bitwise identical with or without it.
 util::StatusOr<double> DyGroupsRound(DyGroupsLayout layout,
                                      InteractionMode mode,
                                      const LearningGainFunction& gain,
                                      std::span<double> skills, int num_groups,
                                      Arena& arena,
-                                     RoundIntrospection* introspect = nullptr);
+                                     RoundIntrospection* introspect = nullptr,
+                                     CarriedOrder* carried = nullptr);
 
 }  // namespace tdg::soa
 

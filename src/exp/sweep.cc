@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <mutex>
+#include <numeric>
 
 #include "baselines/registry.h"
 #include "core/process.h"
@@ -63,15 +66,30 @@ CellSeeds SeedsForCell(uint64_t config_seed, long long cell_index,
   return seeds;
 }
 
-// `point_seed` drives the population draws so that every policy in the
-// sweep sees the *same* populations (heavy-tailed skill distributions make
-// cross-population gain comparisons meaningless); `policy_seed` only feeds
-// the randomized policies.
-util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
-                                       const std::string& policy_name,
-                                       int runs, uint64_t point_seed,
-                                       uint64_t policy_seed,
-                                       std::vector<double>* run_gains) {
+namespace {
+
+// Run `run`'s population of a point. `point_seed` drives the population
+// draws so that every policy in the sweep sees the *same* populations
+// (heavy-tailed skill distributions make cross-population gain comparisons
+// meaningless).
+SkillVector DrawPopulation(const SweepPoint& point, uint64_t point_seed,
+                           int run) {
+  random::Rng rng(point_seed + static_cast<uint64_t>(run) * 1000003ULL);
+  SkillVector skills =
+      random::GenerateSkills(rng, point.distribution, point.n);
+  for (double& s : skills) s += 1e-9;
+  return skills;
+}
+
+// The body of a cell: `runs` populations, `population(run)` giving each,
+// through the α-round process. `policy_seed` only feeds randomized
+// policies.
+template <typename PopulationFn>
+util::StatusOr<SweepCell> RunCell(const SweepPoint& point,
+                                  const std::string& policy_name, int runs,
+                                  uint64_t policy_seed,
+                                  PopulationFn&& population,
+                                  std::vector<double>* run_gains) {
   std::vector<double> gains;
   gains.reserve(runs);
   // Per-run process wall time is recorded into a per-cell registry
@@ -83,11 +101,7 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
           "sweep/process_micros/" + PointLabel(point) + "/" + policy_name);
   const obs::Histogram::Totals micros_before = process_micros.GetTotals();
   for (int run = 0; run < runs; ++run) {
-    uint64_t run_seed = point_seed + static_cast<uint64_t>(run) * 1000003ULL;
-    random::Rng rng(run_seed);
-    SkillVector skills =
-        random::GenerateSkills(rng, point.distribution, point.n);
-    for (double& s : skills) s += 1e-9;
+    const SkillVector& skills = population(run);
 
     TDG_ASSIGN_OR_RETURN(
         auto policy,
@@ -127,9 +141,158 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
   return cell;
 }
 
+// One point's populations in a RunSweepCells execution: each run's is
+// drawn by the first of the point's cells to ask for it and read by the
+// rest; the last cell to finish frees them all.
+class SharedPopulations {
+ public:
+  SharedPopulations(const SweepPoint& point, uint64_t point_seed, int runs,
+                    int cells)
+      : point_(point), point_seed_(point_seed), slots_(runs),
+        cells_left_(cells) {}
+
+  const SkillVector& Get(int run) {
+    Slot& slot = slots_[static_cast<size_t>(run)];
+    std::call_once(slot.drawn, [&] {
+      slot.skills = DrawPopulation(point_, point_seed_, run);
+    });
+    return slot.skills;
+  }
+
+  // One of the point's cells has ended (or was skipped).
+  void Release() {
+    if (cells_left_.fetch_sub(1) != 1) return;
+    for (Slot& slot : slots_) SkillVector().swap(slot.skills);
+  }
+
+ private:
+  struct Slot {
+    std::once_flag drawn;
+    SkillVector skills;
+  };
+
+  const SweepPoint point_;
+  const uint64_t point_seed_;
+  std::vector<Slot> slots_;
+  std::atomic<int> cells_left_;
+};
+
+}  // namespace
+
+util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
+                                       const std::string& policy_name,
+                                       int runs, uint64_t point_seed,
+                                       uint64_t policy_seed,
+                                       std::vector<double>* run_gains) {
+  SkillVector skills;
+  return RunCell(
+      point, policy_name, runs, policy_seed,
+      [&](int run) -> const SkillVector& {
+        skills = DrawPopulation(point, point_seed, run);
+        return skills;
+      },
+      run_gains);
+}
+
+util::Status RunSweepCells(
+    const SweepConfig& config, const std::vector<SweepPoint>& points,
+    const std::vector<std::string>& policies,
+    const std::vector<long long>& cell_indices,
+    const std::function<util::Status(SweepCheckpointCell& record)>&
+        on_cell) {
+  obs::InstallThreadPoolInstrumentation();
+  const size_t num_policies = policies.size();
+  auto point_of = [num_policies](long long cell_index) {
+    return static_cast<size_t>(cell_index) / num_policies;
+  };
+
+  std::vector<int> cells_of_point(points.size(), 0);
+  for (long long cell_index : cell_indices) {
+    ++cells_of_point[point_of(cell_index)];
+  }
+  std::vector<std::unique_ptr<SharedPopulations>> populations(points.size());
+  for (size_t p = 0; p < points.size(); ++p) {
+    if (cells_of_point[p] == 0) continue;
+    const uint64_t point_seed =
+        SeedsForCell(config.seed,
+                     static_cast<long long>(p * num_policies), num_policies)
+            .point_seed;
+    populations[p] = std::make_unique<SharedPopulations>(
+        points[p], point_seed, config.runs, cells_of_point[p]);
+  }
+
+  // Biggest first: a cell costs about its participant-rounds, n·α·runs, so
+  // the longest cells cannot be left to run alone at the end.
+  std::vector<long long> order = cell_indices;
+  auto weight = [&](long long cell_index) {
+    const SweepPoint& point = points[point_of(cell_index)];
+    return static_cast<double>(point.n) * point.alpha * config.runs;
+  };
+  std::sort(order.begin(), order.end(), [&](long long a, long long b) {
+    const double wa = weight(a);
+    const double wb = weight(b);
+    return wa != wb ? wa > wb : a < b;
+  });
+
+  std::atomic<bool> failed{false};
+  util::Status first_error;
+  std::mutex error_mutex;
+  auto fail = [&](const util::Status& status) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!failed.exchange(true)) first_error = status;
+  };
+
+  // The tracker only observes: every hook below is one relaxed atomic load
+  // when monitoring is off, and cell results never depend on it.
+  obs::ProgressTracker& progress = obs::ProgressTracker::Global();
+  util::ThreadPool pool(config.threads);
+  util::ParallelFor(pool, static_cast<int>(order.size()), [&](int i) {
+    const long long cell_index = order[static_cast<size_t>(i)];
+    const size_t point_index = point_of(cell_index);
+    const size_t policy_index = static_cast<size_t>(cell_index) % num_policies;
+    SharedPopulations& shared = *populations[point_index];
+    struct ReleaseOnExit {
+      SharedPopulations& shared;
+      ~ReleaseOnExit() { shared.Release(); }
+    } release{shared};
+    if (failed.load()) return;
+    const SweepPoint& point = points[point_index];
+    const int64_t cell_start =
+        progress.enabled() ? util::MonotonicMicros() : 0;
+    TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
+                 static_cast<double>(cell_index),
+                 static_cast<double>(point.n), static_cast<double>(point.k),
+                 static_cast<double>(point.alpha));
+    // Seeds depend only on the grid position — thread-schedule free.
+    const CellSeeds seeds =
+        SeedsForCell(config.seed, cell_index, num_policies);
+    SweepCheckpointCell record;
+    record.cell_index = cell_index;
+    record.point_seed = seeds.point_seed;
+    record.policy_seed = seeds.policy_seed;
+    auto cell = RunCell(
+        point, policies[policy_index], config.runs, seeds.policy_seed,
+        [&shared](int run) -> const SkillVector& { return shared.Get(run); },
+        &record.run_gains);
+    if (!cell.ok()) {
+      fail(cell.status());
+      return;
+    }
+    record.cell = std::move(cell).value();
+    if (progress.enabled()) {
+      progress.RecordCell(
+          PointLabel(point) + "/" + policies[policy_index],
+          static_cast<double>(util::MonotonicMicros() - cell_start));
+    }
+    util::Status status = on_cell(record);
+    if (!status.ok()) fail(status);
+  });
+  if (failed.load()) return first_error;
+  return util::Status::OK();
+}
+
 util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
   TDG_RETURN_IF_ERROR(config.Validate());
-  obs::InstallThreadPoolInstrumentation();
   std::vector<std::string> policies =
       config.policies.empty() ? baselines::AllPolicyNames() : config.policies;
   std::vector<SweepPoint> points = GridPoints(config);
@@ -137,56 +300,26 @@ util::StatusOr<SweepResult> RunSweep(const SweepConfig& config) {
   SweepResult result;
   result.name = config.name;
   result.cells.resize(points.size() * policies.size());
+  std::vector<long long> cell_indices(result.cells.size());
+  std::iota(cell_indices.begin(), cell_indices.end(), 0LL);
 
-  std::atomic<bool> failed{false};
-  util::Status first_error;
-  std::mutex error_mutex;
-
-  // The tracker only observes: every hook below is one relaxed atomic load
-  // when monitoring is off, and cell results never depend on it.
   obs::ProgressTracker& progress = obs::ProgressTracker::Global();
   progress.BeginRun(config.name,
                     static_cast<long long>(result.cells.size()),
                     /*cells_restored=*/0);
-
-  util::ThreadPool pool(config.threads);
-  util::ParallelFor(
-      pool, static_cast<int>(result.cells.size()), [&](int index) {
-        if (failed.load()) return;
-        size_t point_index = static_cast<size_t>(index) / policies.size();
-        size_t policy_index = static_cast<size_t>(index) % policies.size();
-        const int64_t cell_start =
-            progress.enabled() ? util::MonotonicMicros() : 0;
+  util::Status status = RunSweepCells(
+      config, points, policies, cell_indices,
+      [&result](SweepCheckpointCell& record) {
+        SweepCell& cell = result.cells[static_cast<size_t>(record.cell_index)];
+        cell = std::move(record.cell);
         // Same cell boundary records (and payload slots) as RunSweepShard.
-        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
-                     static_cast<double>(index),
-                     static_cast<double>(points[point_index].n),
-                     static_cast<double>(points[point_index].k),
-                     static_cast<double>(points[point_index].alpha));
-        // Seeds depend only on the grid position — thread-schedule free.
-        CellSeeds seeds = SeedsForCell(config.seed, index, policies.size());
-        auto cell = RunSweepCell(points[point_index], policies[policy_index],
-                                 config.runs, seeds.point_seed,
-                                 seeds.policy_seed);
-        if (!cell.ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!failed.exchange(true)) first_error = cell.status();
-          return;
-        }
-        result.cells[index] = std::move(cell).value();
         TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellEnd,
-                     static_cast<double>(index),
-                     result.cells[index].mean_gain,
-                     static_cast<double>(result.cells[index].runs));
-        if (progress.enabled()) {
-          progress.RecordCell(
-              PointLabel(points[point_index]) + "/" +
-                  policies[policy_index],
-              static_cast<double>(util::MonotonicMicros() - cell_start));
-        }
+                     static_cast<double>(record.cell_index), cell.mean_gain,
+                     static_cast<double>(cell.runs));
+        return util::Status::OK();
       });
   progress.EndRun();
-  if (failed.load()) return first_error;
+  TDG_RETURN_IF_ERROR(status);
   return result;
 }
 

@@ -1,6 +1,8 @@
 #ifndef TDG_EXP_SWEEP_H_
 #define TDG_EXP_SWEEP_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,32 @@ util::StatusOr<SweepCell> RunSweepCell(const SweepPoint& point,
                                        uint64_t policy_seed,
                                        std::vector<double>* run_gains =
                                            nullptr);
+
+/// One completed cell: what RunSweepCells hands its sink, and the record a
+/// sweep checkpoint persists (sweep_shard.h).
+struct SweepCheckpointCell {
+  long long cell_index = 0;  // global grid-order index
+  SweepCell cell;
+  uint64_t point_seed = 0;
+  uint64_t policy_seed = 0;
+  std::vector<double> run_gains;  // per-run total gains behind cell.mean_gain
+};
+
+/// The one cell loop behind RunSweep and RunSweepShard (DESIGN.md §8): runs
+/// the cells `cell_indices` (global grid indices into `points` × `policies`)
+/// on `config.threads` workers and hands each finished cell to `on_cell`,
+/// on the worker that ran it. Every (point, run) population is drawn once,
+/// shared read-only by that point's cells in `cell_indices`, and freed after
+/// the last of them ends, failed or not. Cells are submitted biggest first
+/// (n·α·runs descending, grid index breaking ties); seeds come from
+/// SeedsForCell, so results do not depend on that order. After the first
+/// error, from a cell or from `on_cell`, no further cell starts; that error
+/// is returned.
+util::Status RunSweepCells(
+    const SweepConfig& config, const std::vector<SweepPoint>& points,
+    const std::vector<std::string>& policies,
+    const std::vector<long long>& cell_indices,
+    const std::function<util::Status(SweepCheckpointCell& record)>& on_cell);
 
 /// Runs the full sweep: every (point, policy) cell averaged over
 /// `config.runs` seeded populations, parallelized over `config.threads`

@@ -1,6 +1,5 @@
 #include "exp/sweep_shard.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -16,9 +15,7 @@
 #include "obs/run_manifest.h"
 #include "util/file_util.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace tdg::exp {
 
@@ -316,7 +313,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         "invalid shard %d of %d", options.shard_index,
         options.shard_count));
   }
-  obs::InstallThreadPoolInstrumentation();
   // Fleet identity on every /metrics sample: scrapes of concurrent shard
   // workers stay distinguishable in one Prometheus. Single-process sweeps
   // (shard_count == 1) keep the unlabeled exposition byte-identical.
@@ -422,9 +418,6 @@ util::StatusOr<SweepShardResult> RunSweepShard(
   TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_restored",
                       shard_result.cells_restored);
 
-  std::atomic<bool> failed{false};
-  util::Status first_error;
-  std::mutex error_mutex;
   // One mutex serializes record appends and completion bookkeeping; cells
   // themselves run in parallel.
   std::mutex append_mutex;
@@ -475,60 +468,21 @@ util::StatusOr<SweepShardResult> RunSweepShard(
         });
   }
 
-  util::ThreadPool pool(config.threads);
-  util::ParallelFor(
-      pool, static_cast<int>(remaining.size()), [&](int i) {
-        if (failed.load()) return;
-        const long long cell_index = remaining[static_cast<size_t>(i)];
-        const size_t point_index =
-            static_cast<size_t>(cell_index) / policies.size();
-        const size_t policy_index =
-            static_cast<size_t>(cell_index) % policies.size();
-        const int64_t cell_start =
-            progress.enabled() ? util::MonotonicMicros() : 0;
-        SweepCheckpointCell record;
-        record.cell_index = cell_index;
-        TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellStart,
-                     static_cast<double>(cell_index),
-                     static_cast<double>(points[point_index].n),
-                     static_cast<double>(points[point_index].k),
-                     static_cast<double>(points[point_index].alpha));
-        const CellSeeds seeds =
-            SeedsForCell(config.seed, cell_index, policies.size());
-        record.point_seed = seeds.point_seed;
-        record.policy_seed = seeds.policy_seed;
-        auto cell = RunSweepCell(points[point_index],
-                                 policies[policy_index], config.runs,
-                                 seeds.point_seed, seeds.policy_seed,
-                                 &record.run_gains);
-        if (!cell.ok()) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!failed.exchange(true)) first_error = cell.status();
-          return;
-        }
-        record.cell = std::move(cell).value();
-        if (progress.enabled()) {
-          progress.RecordCell(
-              PointLabel(points[point_index]) + "/" +
-                  policies[policy_index],
-              static_cast<double>(util::MonotonicMicros() - cell_start));
-        }
+  util::Status status = RunSweepCells(
+      config, points, policies, remaining,
+      [&](SweepCheckpointCell& record) {
         const std::string line = CellLine(record, digest);
         std::lock_guard<std::mutex> lock(append_mutex);
-        util::Status append_status = checkpoint_file.AppendLine(line);
-        if (!append_status.ok()) {
-          std::lock_guard<std::mutex> error_lock(error_mutex);
-          if (!failed.exchange(true)) first_error = append_status;
-          return;
-        }
+        TDG_RETURN_IF_ERROR(checkpoint_file.AppendLine(line));
         TDG_OBS_COUNTER_ADD("sweep/checkpoint/cells_written", 1);
         // Emitted after the checkpoint append under the same mutex, so at
         // any crash cut the black box's cell_end events equal the
         // checkpoint's cell set (asserted by the ci blackbox e2e).
         TDG_BLACKBOX(obs::BlackboxEventType::kSweepCellEnd,
-                     static_cast<double>(cell_index),
+                     static_cast<double>(record.cell_index),
                      record.cell.mean_gain,
                      static_cast<double>(record.cell.runs));
+        const long long cell_index = record.cell_index;
         completed.emplace(cell_index, std::move(record));
         ++appended_this_run;
         if (heartbeat.running()) {
@@ -539,10 +493,11 @@ util::StatusOr<SweepShardResult> RunSweepShard(
 #if defined(TDG_TEST_HOOKS)
         MaybeCrashAfterCells(appended_this_run);
 #endif
+        return util::Status::OK();
       });
   heartbeat.Stop();
   progress.EndRun();
-  if (failed.load()) return first_error;
+  TDG_RETURN_IF_ERROR(status);
 
   shard_result.cells_run = appended_this_run;
   shard_result.result.name = config.name;

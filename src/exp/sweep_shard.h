@@ -57,15 +57,6 @@ struct SweepCheckpointHeader {
   long long cells_total = 0;  // full grid size (points × policies)
 };
 
-/// One persisted cell record.
-struct SweepCheckpointCell {
-  long long cell_index = 0;  // global grid-order index
-  SweepCell cell;
-  uint64_t point_seed = 0;
-  uint64_t policy_seed = 0;
-  std::vector<double> run_gains;  // per-run total gains behind cell.mean_gain
-};
-
 /// A checkpoint file read back into memory. `valid_bytes` is the length of
 /// the well-formed record prefix; when the final line was torn by a crash
 /// (no trailing newline, or unparseable without one) it is dropped,

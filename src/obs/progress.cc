@@ -1,8 +1,8 @@
 #include "obs/progress.h"
 
+#include <algorithm>
 #include <cstdio>
 
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace tdg::obs {
@@ -78,7 +78,7 @@ void ProgressTracker::BeginRun(std::string_view name, long long cells_total,
   cells_total_ = cells_total;
   cells_done_ = cells_restored;
   cells_restored_ = cells_restored;
-  run_start_micros_ = util::MonotonicMicros();
+  run_start_micros_ = clock_();
   last_completion_micros_ = 0;
   latency_ewma_micros_ = 0;
   interval_ewma_micros_ = 0;
@@ -93,15 +93,18 @@ void ProgressTracker::RecordCell(std::string_view label,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!active_) return;
-    const int64_t now = util::MonotonicMicros();
+    const int64_t now = clock_();
     ++cells_done_;
     latency_ewma_micros_ = Ewma(latency_ewma_micros_, cell_micros);
     // The first completion's interval is measured from BeginRun, so the
-    // rate (and hence the ETA) is finite as soon as one cell lands.
+    // rate (and hence the ETA) is finite as soon as one cell lands. A cell
+    // landing in the same clock tick counts as one tick: an interval of 0
+    // would leave the EWMA unset and the ETA unknown.
     const int64_t previous = last_completion_micros_ > 0
                                  ? last_completion_micros_
                                  : run_start_micros_;
-    const double interval = static_cast<double>(now - previous);
+    const double interval =
+        static_cast<double>(std::max<int64_t>(now - previous, 1));
     interval_ewma_micros_ = Ewma(interval_ewma_micros_, interval);
     last_completion_micros_ = now;
     current_cell_ = std::string(label);
@@ -138,7 +141,7 @@ void ProgressTracker::EndRun() {
 
 ProgressSnapshot ProgressTracker::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return SnapshotLocked(util::MonotonicMicros());
+  return SnapshotLocked(clock_());
 }
 
 ProgressSnapshot ProgressTracker::SnapshotLocked(int64_t now_micros) const {

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "util/json.h"
+#include "util/stopwatch.h"
 
 namespace tdg::obs {
 
@@ -46,7 +47,11 @@ struct ProgressSnapshot {
 /// worker, Snapshot from the stats server thread.
 class ProgressTracker {
  public:
-  ProgressTracker() = default;
+  /// Microseconds on a monotonic clock; tests substitute a scripted one.
+  using Clock = int64_t (*)();
+
+  explicit ProgressTracker(Clock clock = &util::MonotonicMicros)
+      : clock_(clock) {}
   ProgressTracker(const ProgressTracker&) = delete;
   ProgressTracker& operator=(const ProgressTracker&) = delete;
 
@@ -78,6 +83,7 @@ class ProgressTracker {
   /// Builds a snapshot with mutex_ already held.
   ProgressSnapshot SnapshotLocked(int64_t now_micros) const;
 
+  const Clock clock_;
   std::atomic<bool> enabled_{false};
 
   mutable std::mutex mutex_;

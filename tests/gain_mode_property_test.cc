@@ -15,9 +15,12 @@
 namespace tdg {
 namespace {
 
+// gtest prints this struct byte by byte in each case's listed name, so the
+// enum leads: its bytes are fixed, where a std::string's first bytes are a
+// heap address that differs on every run.
 struct GainModeCase {
-  std::string gain_name;  // constructor key
   InteractionMode mode;
+  std::string gain_name;  // constructor key
 
   std::string Name() const {
     std::string name = gain_name + "_" +
@@ -123,7 +126,7 @@ std::vector<GainModeCase> MakeCases() {
        {"linear", "linear-low", "power", "log", "satexp"}) {
     for (InteractionMode mode :
          {InteractionMode::kStar, InteractionMode::kClique}) {
-      cases.push_back(GainModeCase{gain, mode});
+      cases.push_back(GainModeCase{mode, gain});
     }
   }
   return cases;

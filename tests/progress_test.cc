@@ -1,7 +1,7 @@
 // Tests for obs::ProgressTracker: disabled hooks are no-ops, the ETA is
-// finite after a single completion, snapshots track counts/labels, and
-// EndRun deactivates. Every test restores the global tracker state so test
-// order never matters.
+// finite after a single completion (even one in BeginRun's clock tick),
+// snapshots track counts/labels, and EndRun deactivates. Every test
+// restores the global tracker state so test order never matters.
 
 #include "obs/progress.h"
 
@@ -58,6 +58,27 @@ TEST(ProgressTrackerTest, EtaIsUnknownBeforeAndFiniteAfterFirstCell) {
   EXPECT_GE(after.eta_seconds, 0);  // finite from the very first completion
   EXPECT_EQ(after.current_cell, "cell-0");
   EXPECT_DOUBLE_EQ(after.cell_latency_ewma_micros, 500.0);
+}
+
+// A clock that stands still: every reading is the same microsecond.
+int64_t FrozenClock() { return 1'000'000; }
+
+TEST(ProgressTrackerTest, EtaIsFiniteWhenTheFirstCellLandsInTheStartTick) {
+  ProgressTracker tracker(&FrozenClock);
+  tracker.SetEnabled(true);
+  tracker.BeginRun("same-tick", 10, 0);
+  tracker.RecordCell("cell-0", 0.0);
+
+  ProgressSnapshot snapshot = tracker.Snapshot();
+  EXPECT_EQ(snapshot.cells_done, 1);
+  // The zero interval counts as one microsecond: 10^6 cells/s, 9 left.
+  EXPECT_DOUBLE_EQ(snapshot.cells_per_second, 1e6);
+  EXPECT_DOUBLE_EQ(snapshot.eta_seconds, 9e-6);
+
+  // Later completions in the same tick keep the rate finite too.
+  tracker.RecordCell("cell-1", 0.0);
+  EXPECT_GE(tracker.Snapshot().eta_seconds, 0);
+  tracker.EndRun();
 }
 
 TEST(ProgressTrackerTest, RestoredCellsCountTowardCompletion) {
